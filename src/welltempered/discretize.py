@@ -8,13 +8,18 @@ conductor C so that everything at or beyond C is guaranteed present no
 matter which alpha is used.  Sweeping alpha over (0, 1] produces finitely
 many distinct images, one per gap between fractional parts; the sweep
 enumerates them exactly, with alpha = 0 (pure ceiling) kept as a
-distinguished extra interval.
+distinguished extra interval.  Image sets are stored eagerly; index maps
+are built only when something reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, groupby, islice
 from typing import Union
 
 from .exactnum import (
@@ -25,6 +30,7 @@ from .exactnum import (
     exact_ceil,
     exact_floor,
     exact_frac,
+    exact_is_integer,
 )
 from .molds import Mold, SpacingCertificateError
 
@@ -66,22 +72,74 @@ class TruncationCertificate:
 
 
 @dataclass(frozen=True)
-class Discretization:
-    """One discretized image: index-to-value map plus its cofinite shape.
+class _PrefixTables:
+    """One certified (mold, m), split for rounding at any threshold.
 
-    values[i] = round(m * mu_i) for 0 <= i <= horizon.  prefix holds the
-    members below the (minimal) conductor; every integer at or beyond the
-    conductor is a member.  The index map is kept because collapse detection
-    needs to know which mold indices landed on the same integer, not just
-    the resulting set.
+    floors[i] and fracs[i] are the floor and fractional part of m * mu_i
+    for i <= prefix_end; fracs[i] is None when m * mu_i is an integer.
+    Only these prefix-length tables are kept: the scaled elements up to the
+    horizon are dropped once certified, and indices past the prefix end are
+    rounded from the mold when an index map needs them.
+    """
+
+    mold: Mold
+    cert: TruncationCertificate
+    floors: tuple
+    fracs: tuple
+
+
+def _split(s: ExactValue) -> tuple:
+    return exact_floor(s), None if exact_is_integer(s) else exact_frac(s)
+
+
+def _round(floor: int, frac, alpha) -> int:
+    """Threshold rounding: the floor when frac < alpha, else the ceiling."""
+    if frac is None or _lt(frac, alpha):
+        return floor
+    return floor + 1
+
+
+def _key_of(members: list) -> tuple:
+    """(prefix, conductor) of a set given by its sorted distinct members.
+
+    The conductor starts the run of consecutive integers that ends at the
+    largest member; members[j] - j is nondecreasing, and constant exactly
+    on that run, so its start is found by bisection.
+    """
+    run = members[-1] - len(members) + 1
+    lo, hi = 0, len(members) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if members[mid] - mid < run:
+            lo = mid + 1
+        else:
+            hi = mid
+    return tuple(members[:lo]), members[lo]
+
+
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """One discretized image: its cofinite shape, with the index map on demand.
+
+    prefix holds the members below the (minimal) conductor; every integer
+    at or beyond the conductor is a member.  values[i] = round(m * mu_i)
+    for 0 <= i <= horizon.  The indices up to prefix_end, which fix the
+    set, are rounded when the discretization is made; the rest of values is
+    rounded from the mold on first access, and iter_values() goes on past
+    the horizon without storing anything.  The index map is kept because
+    collapse detection needs to know which mold indices landed on the same
+    integer, not just the resulting set.
     """
 
     mold_name: str
     multiplicity: int
-    values: tuple
     prefix_end: int
+    horizon: int
     conductor: int
     prefix: tuple
+    _alpha: ExactValue = field(repr=False)
+    _head: tuple = field(repr=False)
+    _tables: _PrefixTables = field(repr=False)
 
     def contains(self, n: int) -> bool:
         return n >= self.conductor or n in self.prefix
@@ -91,14 +149,28 @@ class Discretization:
         out.extend(range(self.conductor, max(self.conductor, bound)))
         return out
 
+    def iter_values(self):
+        """round(m * mu_i) for i = 0, 1, 2, ... without end."""
+        yield from self._head
+        mold, m = self._tables.mold, self.multiplicity
+        for i in count(self.prefix_end + 1):
+            yield _round(*_split(_scaled(m, mold.element(i))), self._alpha)
 
-def _make_discretization(mold_name: str, m: int, values: tuple, prefix_end: int) -> Discretization:
-    members = set(values[: prefix_end + 1])
-    c = values[prefix_end]
-    while c - 1 in members:  # walk the conductor down through the solid run
-        c -= 1
-    prefix = tuple(sorted(v for v in members if v < c))
-    return Discretization(mold_name, m, values, prefix_end, c, prefix)
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(islice(self.iter_values(), self.horizon + 1))
+
+    def _fields(self) -> tuple:
+        return (self.mold_name, self.multiplicity, self.prefix_end, self.conductor,
+                self.prefix, self.values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Discretization):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.mold_name, self.multiplicity, self.conductor, self.prefix))
 
 
 def _certificate_with_values(mold: Mold, m: int):
@@ -121,6 +193,12 @@ def _certificate_with_values(mold: Mold, m: int):
     detail = f"{witness}; m*step < 1 checked exactly for indices {prefix_end}..{horizon}"
     cert = TruncationCertificate(mold.name, m, prefix_end, conductor, horizon, detail)
     return cert, svals
+
+
+def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
+    cert, svals = _certificate_with_values(mold, m)
+    floors, fracs = zip(*map(_split, svals[: cert.prefix_end + 1]))
+    return _PrefixTables(mold, cert, floors, fracs)
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
@@ -157,11 +235,20 @@ def _lt(x, y) -> bool:
     return x < y
 
 
+def _discretize_at(tables: _PrefixTables, alpha) -> Discretization:
+    """The image at threshold alpha, which may be any exact value."""
+    head = tuple(_round(fl, frac, alpha) for fl, frac in zip(tables.floors, tables.fracs))
+    prefix, conductor = _key_of(sorted(set(head)))
+    cert = tables.cert
+    return Discretization(cert.mold_name, cert.multiplicity, cert.prefix_end, cert.horizon,
+                          conductor, prefix, alpha, head, tables)
+
+
 def discretize(mold: Mold, m: int, alpha) -> Discretization:
     """The image of m * mold under threshold rounding at alpha.
 
     alpha may be an exact rational in [0, 1] or an AlphaInterval from
-    alpha_sweep (whose stored representative is returned unchanged).
+    alpha_sweep (whose representative is returned, built on first use).
     """
     if isinstance(alpha, AlphaInterval):
         return alpha.representative
@@ -169,34 +256,32 @@ def discretize(mold: Mold, m: int, alpha) -> Discretization:
         raise TypeError("alpha must be an exact rational or an AlphaInterval")
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    cert, svals = _certificate_with_values(mold, m)
-    values = []
-    for s in svals:
-        fl = exact_floor(s)
-        frac = exact_frac(s)
-        if frac == 0:
-            values.append(fl)
-        else:
-            values.append(fl if _lt(frac, alpha) else fl + 1)
-    return _make_discretization(mold.name, m, tuple(values), cert.prefix_end)
+    return _discretize_at(_prefix_tables(mold, m), alpha)
 
 
 @dataclass(frozen=True)
 class AlphaInterval:
-    """A maximal-by-construction run (lower, upper] of equal discretizations.
+    """A maximal-by-construction run (lower, upper] of equal image sets.
 
-    The image set is constant for alpha in (lower, upper]; representative
-    is the discretization evaluated at alpha = upper.  The distinguished
-    pure-ceiling case is stored as the degenerate interval [0, 0].
-    Endpoints are exact: fractional parts of scaled mold elements, or the
-    outer rationals 0 and 1.
+    The image set is constant for alpha in (lower, upper]; key is that set
+    as (prefix, conductor), stored eagerly.  representative, the full
+    discretization at alpha = upper with its index map, is built on first
+    access from the prefix tables the intervals of one sweep share.  The
+    distinguished pure-ceiling case is stored as the degenerate interval
+    [0, 0].  Endpoints are exact: fractional parts of scaled mold elements,
+    or the outer rationals 0 and 1.
     """
 
     mold_name: str
     multiplicity: int
     lower: ExactValue
     upper: ExactValue
-    representative: Discretization
+    key: tuple
+    _tables: _PrefixTables = field(repr=False, compare=False)
+
+    @cached_property
+    def representative(self) -> Discretization:
+        return _discretize_at(self._tables, self.upper)
 
     @property
     def is_ceiling_point(self) -> bool:
@@ -210,6 +295,12 @@ class AlphaInterval:
         return not _lt(self.upper, alpha)
 
 
+def _rediscretize(interval: AlphaInterval, alpha: Rational) -> Discretization:
+    """discretize() of the interval's mold and multiplicity at another
+    threshold, reusing the certificate and tables of the interval's sweep."""
+    return _discretize_at(interval._tables, alpha)
+
+
 def alpha_sweep(mold: Mold, m: int) -> list:
     """All distinct discretizations of m * mold, as threshold intervals.
 
@@ -219,42 +310,59 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     one.  Fractional parts occurring only beyond the prefix end move
     individual index values but never the set, so they contribute no
     interval; representatives still account for them at alpha = upper.
-    Returned sorted by lower endpoint, pure-ceiling interval first.
+
+    One pass over the sorted breakpoints, starting from pure ceiling: a
+    crossing moves each index of its group from its ceiling to its floor,
+    which updates a hit count per integer and, when a count reaches or
+    leaves zero, the sorted distinct values.  Each interval stores its key
+    (the previous interval's tuple when the set did not change); index maps
+    are built only when a representative is read.  Returned sorted by lower
+    endpoint, pure-ceiling interval first.
     """
-    cert, svals = _certificate_with_values(mold, m)
-    n_end, horizon = cert.prefix_end, cert.horizon
-    floors = [exact_floor(s) for s in svals]
-    fracs = [exact_frac(s) for s in svals]
-    tagged = [(fracs[i], i) for i in range(horizon + 1) if fracs[i] != 0]
-    tagged.sort()
-
-    groups = []  # (fractional part, indices sharing it), ascending
-    for frac, i in tagged:
-        if groups and groups[-1][0] == frac:
-            groups[-1][1].append(i)
-        else:
-            groups.append((frac, [i]))
-
-    values = [floors[i] + (0 if fracs[i] == 0 else 1) for i in range(horizon + 1)]
+    tables = _prefix_tables(mold, m)
+    floors, fracs = tables.floors, tables.fracs
+    hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
+    members = sorted(hits)
+    key = _key_of(members)
     name = mold.name
-    out = [AlphaInterval(name, m, _ZERO, _ZERO,
-                         _make_discretization(name, m, tuple(values), n_end))]
+    out = [AlphaInterval(name, m, _ZERO, _ZERO, key, tables)]
     prev = _ZERO
-    for frac, idxs in groups:
-        if any(i <= n_end for i in idxs):
-            snap = _make_discretization(name, m, tuple(values), n_end)
-            out.append(AlphaInterval(name, m, prev, frac, snap))
-            prev = frac
-        for i in idxs:  # crossing this breakpoint: ceiling drops to floor
-            values[i] = floors[i]
-    out.append(AlphaInterval(name, m, prev, _ONE,
-                             _make_discretization(name, m, tuple(values), n_end)))
+    order = sorted((i for i, frac in enumerate(fracs) if frac is not None),
+                   key=fracs.__getitem__)
+    for frac, group in groupby(order, key=fracs.__getitem__):
+        out.append(AlphaInterval(name, m, prev, frac, key, tables))
+        prev = frac
+        changed = False
+        for i in group:  # crossing this breakpoint: ceiling drops to floor
+            fl = floors[i]
+            hits[fl + 1] -= 1
+            if not hits[fl + 1]:
+                del members[bisect_left(members, fl + 1)]
+                changed = True
+            if not hits[fl]:
+                insort(members, fl)
+                changed = True
+            hits[fl] += 1
+        if changed:
+            key = _key_of(members)
+    out.append(AlphaInterval(name, m, prev, _ONE, key, tables))
     return out
 
 
 def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:
-    """Locate the sweep interval containing an exact rational alpha."""
-    for interval in intervals:
-        if interval.contains_alpha(alpha):
-            return interval
+    """Locate the sweep interval containing an exact rational alpha.
+
+    intervals must be ordered by upper endpoint, as alpha_sweep returns
+    them; a bisection with certified comparisons finds the first interval
+    whose upper endpoint is not below alpha.
+    """
+    lo, hi = 0, len(intervals)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _lt(intervals[mid].upper, alpha):
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < len(intervals) and intervals[lo].contains_alpha(alpha):
+        return intervals[lo]
     raise ValueError(f"alpha {alpha} outside [0, 1]")

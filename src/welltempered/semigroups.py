@@ -16,14 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .discretize import (
-    AlphaInterval,
-    Discretization,
-    _lt,
-    _scaled,
-    discretize,
-)
-from .exactnum import exact_floor, exact_frac
+from .discretize import Discretization, discretize
 from .molds import Mold, PropertyReport
 
 
@@ -132,39 +125,23 @@ class CollapseRecord:
     witness_index: int
 
 
-def _interval_threshold(interval):
-    if isinstance(interval, AlphaInterval):
-        return interval.upper
-    return interval
-
-
 def collapse(mold: Mold, m: int, interval) -> CollapseRecord:
     """First repeated value of the discretization's index map.
 
     interval may be an AlphaInterval (its representative map is used, i.e.
     the threshold sits at the interval's upper endpoint) or an exact
-    rational threshold. The map is extended past the stored horizon in the
+    rational threshold. The map is followed past the stored horizon in the
     rare case the certified range shows no repeat yet.
     """
-    d = discretize(mold, m, interval)
-    values = list(d.values)
-    alpha = _interval_threshold(interval)
-    i = 0
-    while True:
-        if i + 1 == len(values):
-            values.append(_round_threshold(mold, m, i + 1, alpha))
-        if values[i] == values[i + 1]:
-            return CollapseRecord(values[i], i)
-        i += 1
+    return _first_repeat(discretize(mold, m, interval))
 
 
-def _round_threshold(mold: Mold, m: int, i: int, alpha) -> int:
-    s = _scaled(m, mold.element(i))
-    fl = exact_floor(s)
-    frac = exact_frac(s)
-    if frac == 0:
-        return fl
-    return fl if _lt(frac, alpha) else fl + 1
+def _first_repeat(d: Discretization) -> CollapseRecord:
+    previous = None
+    for i, value in enumerate(d.iter_values()):
+        if value == previous:
+            return CollapseRecord(value, i - 1)
+        previous = value
 
 
 def even_filterable_semigroup(mold: Mold, m: int, interval) -> PropertyReport:
@@ -174,9 +151,9 @@ def even_filterable_semigroup(mold: Mold, m: int, interval) -> PropertyReport:
     discretization; each such sum must land on an element of even index.
     The witness is the first violating index pair (2i, 2j).
     """
-    record = collapse(mold, m, interval)
-    s = from_discretization(discretize(mold, m, interval))
-    kappa = record.kappa
+    d = discretize(mold, m, interval)
+    s = from_discretization(d)
+    kappa = _first_repeat(d).kappa
     even = []
     i = 0
     while s.element(2 * i) < kappa:  # pairs beyond this cannot sum below kappa

@@ -12,11 +12,11 @@ feasibility is decided everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .discretize import AlphaInterval, _lt, _scaled, alpha_sweep, discretize
+from .discretize import AlphaInterval, _lt, _rediscretize, _scaled, alpha_sweep
 from .exactnum import cross_compare, exact_floor, exact_frac, exact_is_integer
 from .molds import Mold, PropertyReport, golden_fractal_mold, metric_mold
 from .semigroups import (
@@ -128,24 +128,20 @@ REFERENCE_MATCHES = {
 TAIL_START = 35
 
 
-def _set_key(region: AlphaInterval) -> tuple[tuple[int, ...], int]:
-    return region.representative.prefix, region.representative.conductor
-
-
 def _merged_regions(mold: Mold, m: int) -> list[AlphaInterval]:
     """Alpha sweep with adjacent equal-image intervals fused.
 
-    The fused region keeps the last constituent's representative, so it
-    still describes the image at the region's upper endpoint.  The pure
-    ceiling point stays a region of its own.
+    Only the intervals' keys are compared, so no index map is built.  The
+    fused region keeps the last constituent's upper endpoint, so its
+    representative still describes the image at the region's upper
+    endpoint.  The pure ceiling point stays a region of its own.
     """
     intervals = alpha_sweep(mold, m)
     regions = [intervals[0]]
     for iv in intervals[1:]:
         last = regions[-1]
-        if not last.is_ceiling_point and _set_key(iv) == _set_key(last):
-            regions[-1] = AlphaInterval(last.mold_name, last.multiplicity,
-                                        last.lower, iv.upper, iv.representative)
+        if not last.is_ceiling_point and iv.key == last.key:
+            regions[-1] = replace(iv, lower=last.lower)
         else:
             regions.append(iv)
     return regions
@@ -170,36 +166,41 @@ def _region_alpha(region: AlphaInterval) -> Fraction:
     return _rational_inside(region.lower, region.upper)
 
 
-def _midpoint_recheck(mold: Mold, m: int, region: AlphaInterval,
-                      key: tuple[tuple[int, ...], int]) -> None:
-    probe = discretize(mold, m, _region_alpha(region))
+def _midpoint_recheck(region: AlphaInterval, key: tuple[tuple[int, ...], int]) -> None:
+    # an independent re-rounding at an interior rational, on the
+    # certificate the sweep already built
+    probe = _rediscretize(region, _region_alpha(region))
     if (probe.prefix, probe.conductor) != key:
         raise RuntimeError("sweep region failed its interior re-check")
 
 
+# Every search uses these two molds, so their element caches serve all m
+# and the cached matches refer to them instead of one pair of molds per m.
+_SEARCH_MOLDS = (metric_mold(), golden_fractal_mold())
+
+
 @lru_cache(maxsize=None)
 def _search(m: int) -> tuple[SimultaneousMatch, ...]:
-    lmold = metric_mold()
-    fmold = golden_fractal_mold()
+    lmold, fmold = _SEARCH_MOLDS
     regions_l = _merged_regions(lmold, m)
     regions_f = _merged_regions(fmold, m)
     partners: dict[tuple, list[AlphaInterval]] = {}
     for region in regions_f:
-        partners.setdefault(_set_key(region), []).append(region)
+        partners.setdefault(region.key, []).append(region)
     closed: dict[tuple, bool] = {}
     matches = []
     for rl in regions_l:
-        key = _set_key(rl)
+        key = rl.key
         on_both_sides = partners.get(key)
         if not on_both_sides:
             continue
         if key not in closed:
-            closed[key] = verify_semigroup(rl.representative).holds
+            closed[key] = verify_semigroup(NumericalSemigroup(*key)).holds
         if not closed[key]:
             continue
-        _midpoint_recheck(lmold, m, rl, key)
+        _midpoint_recheck(rl, key)
         for rf in on_both_sides:
-            _midpoint_recheck(fmold, m, rf, key)
+            _midpoint_recheck(rf, key)
             matches.append(SimultaneousMatch(
                 m=m,
                 interval_L=rl,

@@ -1,11 +1,19 @@
 """Threshold rounding of molds, truncation certificates, alpha sweep."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from welltempered.exactnum import GoldenNumber, LogValue, exact_frac, rational_between
+from welltempered.exactnum import (
+    GoldenNumber,
+    LogValue,
+    exact_floor,
+    exact_frac,
+    exact_is_integer,
+    rational_between,
+)
 from welltempered.discretize import (
     AlphaInterval,
     alpha_sweep,
@@ -264,3 +272,75 @@ def test_multiplicity_one_gives_all_naturals():
         d = discretize(mold, 1, 1)
         assert d.conductor <= 1
         assert d.contains(0) and d.contains(1) and d.contains(2)
+
+
+def _floor_rule(splits, alpha):
+    # round(m * mu_i) at an exact threshold, straight from the definition
+    return [fl if frac is None or frac < alpha else fl + 1 for fl, frac in splits]
+
+
+@pytest.mark.parametrize("mold, ms", [(L, range(1, 21)), (F, range(1, 25)), (Q, (16, 19))],
+                         ids=["L", "F", "Q"])
+def test_every_interval_matches_direct_discretization(mold, ms):
+    for m in ms:
+        sweep = alpha_sweep(mold, m)
+        scaled = [_scaled_element(mold, m, i)
+                  for i in range(truncation_certificate(mold, m).horizon + 1)]
+        splits = [(exact_floor(s), None if exact_is_integer(s) else exact_frac(s))
+                  for s in scaled]
+        for iv in sweep:
+            alpha = 0 if iv.is_ceiling_point else rational_between(iv.lower, iv.upper)
+            d = discretize(mold, m, alpha)
+            assert iv.key == (d.prefix, d.conductor), (mold.name, m, alpha)
+            rep = iv.representative
+            assert (rep.prefix, rep.conductor) == iv.key
+            assert list(rep.values) == _floor_rule(splits, iv.upper)
+        assert sweep[0].representative == discretize(mold, m, 0)
+        assert sweep[-1].representative == discretize(mold, m, 1)
+
+
+def test_equal_fractional_parts_flip_in_one_crossing():
+    # log2(6) = 1 + log2(3): indices 2 and 5 of the metric mold share every
+    # fractional part, so one breakpoint moves both
+    for m in (11, 12, 18):
+        sweep = alpha_sweep(L, m)
+        b = exact_frac(LogValue(m, 3))
+        assert exact_frac(LogValue(m, 6)) == b
+        (k,) = [k for k, iv in enumerate(sweep) if iv.upper == b]
+        below, above = sweep[k].representative, sweep[k + 1].representative
+        floors = (exact_floor(LogValue(m, 3)), exact_floor(LogValue(m, 6)))
+        assert (below.values[2], below.values[5]) == (floors[0] + 1, floors[1] + 1)
+        assert (above.values[2], above.values[5]) == floors
+
+
+def test_interval_lookup_agrees_with_a_linear_scan():
+    rng = random.Random(20170303)
+    for mold, m in ((L, 11), (F, 12), (F, 34)):
+        sweep = alpha_sweep(mold, m)
+        alphas = [Fraction(0), Fraction(1)]
+        for iv in rng.sample(sweep[1:], min(12, len(sweep) - 1)):
+            alphas.extend(_rationals_inside(iv, 3, rng))
+        for alpha in alphas:
+            (expected,) = [iv for iv in sweep if iv.contains_alpha(alpha)]
+            assert interval_for_alpha(sweep, alpha) is expected
+    for outside in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            interval_for_alpha(sweep, outside)
+
+
+def test_sweep_keeps_keys_and_builds_representatives_on_demand():
+    tracemalloc.start()
+    try:
+        sweep = alpha_sweep(F, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep) == 513
+    assert peak < 6 * 2 ** 20
+    assert all("representative" not in vars(iv) for iv in sweep)
+    # a crossing that leaves the set unchanged hands on the same key tuple
+    assert all((a.key == b.key) == (a.key is b.key) for a, b in zip(sweep[1:], sweep[2:]))
+    rep = sweep[-1].representative
+    assert rep is sweep[-1].representative
+    assert "values" not in vars(rep)
+    assert (rep.prefix, rep.conductor) == sweep[-1].key

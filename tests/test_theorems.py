@@ -19,6 +19,7 @@ from welltempered.theorems import (
     simultaneous_search,
     tail_certificate,
 )
+from welltempered.theorems import _merged_regions
 
 L = metric_mold()
 F = golden_fractal_mold()
@@ -28,6 +29,14 @@ H_PREFIX = (0, 12, 19, 24, 28, 31, 34, 36, 38, 40, 42, 43)
 # match counts per multiplicity, fixed by the two alpha sweeps
 MATCH_COUNTS = {1: 4, 2: 5, 3: 3, 4: 5, 5: 4, 6: 4, 7: 5, 8: 2, 9: 2,
                 10: 4, 11: 0, 12: 1, 13: 3}
+
+
+def test_merged_regions_read_keys_only():
+    regions = _merged_regions(F, 34)
+    assert all("representative" not in vars(region) for region in regions)
+    keys = [region.key for region in regions[1:]]
+    assert all(a != b for a, b in zip(keys, keys[1:]))  # neighbours were fused
+    assert regions[-1].upper == 1
 
 
 def test_census_up_to_20():
