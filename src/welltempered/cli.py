@@ -13,9 +13,11 @@ import sys
 from fractions import Fraction
 
 from .discretize import discretize
-from .exactnum import GoldenNumber
 from .molds import (
+    FractalMold,
+    PeriodSpec,
     golden_fractal_mold,
+    golden_period_spec,
     metric_mold,
     mold_d,
     mold_q,
@@ -23,8 +25,8 @@ from .molds import (
 )
 from .render import render_compact, render_decimal, render_exact, scale
 from .semigroups import (
-    collapse,
-    even_filterable_semigroup,
+    _even_filterable,
+    _first_repeat,
     from_discretization,
     genus_multiplicity,
     verify_semigroup,
@@ -171,8 +173,8 @@ def _cmd_discretize(args, parser) -> int:
         parser.error(str(exc))
     s = from_discretization(d)
     verification = verify_semigroup(d)
-    record = collapse(mold, args.m, alpha)
-    even = even_filterable_semigroup(mold, args.m, alpha)
+    record = _first_repeat(d)
+    even = _even_filterable(d)
     _, genus, multiplicity = genus_multiplicity(s)
     if args.format == "json":
         lines = [_dump_json({
@@ -216,25 +218,24 @@ def _cmd_discretize(args, parser) -> int:
     return 0
 
 
+def _interval_ends(interval, args) -> tuple[str, str]:
+    if args.exact:
+        return render_exact(interval.lower), render_exact(interval.upper)
+    return (render_decimal(interval.lower, args.precision),
+            render_decimal(interval.upper, args.precision))
+
+
 def _interval_text(interval, args) -> str:
     if interval.is_ceiling_point:
         return "[0, 0]"
-    if args.exact:
-        lo, hi = render_exact(interval.lower), render_exact(interval.upper)
-    else:
-        lo = render_decimal(interval.lower, args.precision)
-        hi = render_decimal(interval.upper, args.precision)
+    lo, hi = _interval_ends(interval, args)
     return f"({lo}, {hi}]"
 
 
 def _interval_dict(interval, args) -> dict:
     if interval.is_ceiling_point:
         return {"ceiling_point": True, "lower": "0", "upper": "0"}
-    if args.exact:
-        lo, hi = render_exact(interval.lower), render_exact(interval.upper)
-    else:
-        lo = render_decimal(interval.lower, args.precision)
-        hi = render_decimal(interval.upper, args.precision)
+    lo, hi = _interval_ends(interval, args)
     return {"ceiling_point": False, "lower": lo, "upper": hi}
 
 
@@ -398,8 +399,7 @@ def _cmd_fractal_division(args, parser) -> int:
     if not 0 <= args.depth <= 12:
         parser.error("--depth must be between 0 and 12")
     if args.p == "golden":
-        cut = GoldenNumber(0, 1)
-        points = [GoldenNumber(0, 0), GoldenNumber(1, 0)]
+        spec = golden_period_spec()
         label = "golden"
     else:
         try:
@@ -408,15 +408,12 @@ def _cmd_fractal_division(args, parser) -> int:
             parser.error(f"invalid proportion {args.p!r}")
         if not 0 < cut < 1:
             parser.error("proportion must lie strictly between 0 and 1")
-        points = [Fraction(0), Fraction(1)]
+        spec = PeriodSpec([1, 1 + cut])
         label = str(cut)
-    for _ in range(args.depth):
-        refined = []
-        for a, b in zip(points, points[1:]):
-            refined.append(a)
-            refined.append(a + (b - a) * cut)
-        refined.append(points[-1])
-        points = refined
+    # the cut points are period `depth` of the fractal mold, shifted to [0, 1)
+    mold = FractalMold(spec)
+    period = mold.elements(mold.start_index(args.depth + 1))[mold.start_index(args.depth):]
+    points = [x - args.depth for x in period] + [spec.cuts[0]]
     rendered = [_render(x, args) for x in points]
     if args.format == "text":
         lines = [", ".join(rendered)]

@@ -3,10 +3,10 @@
 ``GoldenNumber`` is the ring Z[tau], tau = (sqrt(5) - 1)/2, with a total
 order decided purely by integer sign analysis.  ``LogValue`` is an
 unevaluated m*log2(n) + c ordered through big-integer power comparisons.
-``fractions.Fraction`` (aliased ``ExactRational``) covers the rational
-family.  Floats never decide anything: they only seed searches whose
-answers are verified exactly, and certified enclosures are built from
-integer square roots and interval squaring.
+``fractions.Fraction`` covers the rational family.  Floats never decide
+anything: they only seed searches whose answers are verified exactly, and
+certified enclosures are built from integer square roots and interval
+squaring.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Union
-
-ExactRational = Fraction
 
 Rational = Union[int, Fraction]
 Coeff = Union[int, Fraction]
@@ -114,10 +112,6 @@ class GoldenNumber:
     @property
     def b(self) -> Coeff:
         return self._b
-
-    @classmethod
-    def from_int(cls, n: int) -> GoldenNumber:
-        return cls(n, 0)
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self._a!r}, {self._b!r})"
@@ -244,14 +238,6 @@ class GoldenNumber:
 
 
 TAU = GoldenNumber(0, 1)
-
-
-def golden_add(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    return x + y
-
-
-def golden_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
-    return x * y
 
 
 def golden_compare(x: GoldenNumber, y) -> int:

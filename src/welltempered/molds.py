@@ -167,49 +167,15 @@ def f_ell(ell: int, n: int, p) -> ExactValue:
     return out
 
 
-class GoldenFractalMold(Mold):
-    """Granularity-2 fractal mold with golden cut: element i is
-    ell + f_ell(i + 1 - 2^ell) at proportion p = tau, ell = floor(log2(i+1))."""
-
-    name = "F"
-    kind = "golden-fractal"
-
-    def __init__(self):
-        self._periods: list[list[GoldenNumber]] = [[GoldenNumber(0, 0)]]
-
-    def _period(self, ell: int) -> list[GoldenNumber]:
-        while len(self._periods) <= ell:
-            prev = self._periods[-1]
-            p = TAU
-            q = GoldenNumber(1, -1)  # 1 - tau = tau^2
-            nxt = [p * x for x in prev] + [p + q * x for x in prev]
-            self._periods.append(nxt)
-        return self._periods[ell]
-
-    def element(self, i: int) -> GoldenNumber:
-        if i < 0:
-            raise IndexError("mold indices start at 0")
-        ell = (i + 1).bit_length() - 1
-        n = i + 1 - (1 << ell)
-        return ell + self._period(ell)[n]
-
-    def spacing_index(self, m: int) -> tuple[int, str]:
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
-        bound = Fraction(1, m)
-        ell = 1
-        power = TAU
-        while not power < bound:  # largest first-period proportion is tau
-            ell += 1
-            power = power * TAU
-        return (1 << ell) - 1, f"tau^{ell} < 1/{m}, gap bound in periods >= {ell}"
-
-
 class FractalMold(Mold):
     """Fractal mold generated from a first period by proportional subdivision.
 
-    Period k+1 is built from period k by cutting each gap (consecutive pair,
-    with sentinel 1) at the first-period proportions.
+    The first period cuts [0, 1) into pieces, piece j starting at offset o_j
+    with width w_j (up to the next cut, or to 1).  Period k+1 is period k
+    scaled into every piece in turn: the concatenation over j of
+    [o_j + w_j * x for x in period k].  Elements are cached in one flat list
+    that grows only up to the largest index asked for; of the periods, only
+    the offsets of the last one built are kept.
     """
 
     def __init__(self, period: PeriodSpec, name: str = ""):
@@ -218,58 +184,64 @@ class FractalMold(Mold):
         self.spec = period
         l = period.granularity
         self.name = name or f"fractal[{l}]"
-        self.kind = f"generic-fractal(granularity {l})"
-        self._offsets = [period.offsets()]
+        if period == golden_period_spec():
+            self.kind = "golden-fractal"
+        else:
+            self.kind = f"generic-fractal(granularity {l})"
+        offsets = period.offsets()
+        ends = offsets[1:] + [period.cuts[0]]  # the last piece ends at exact 1
+        self._pieces = [(o, end - o) for o, end in zip(offsets, ends)]
+        self._elements: list = []
+        self._period = 0  # the period whose offsets are kept
+        self._period_start = 0  # index of that period's first element
+        self._period_offsets = [offsets[0]]
 
-    def _one(self):
-        return self.spec.cuts[0]  # exact 1 in the working family
-
-    def _period(self, ell: int) -> list:
-        if ell == 0:
-            zero = self.spec.cuts[0] - 1
-            return [zero]
-        while len(self._offsets) < ell:
-            prev = self._offsets[-1]
-            base = self.spec.offsets()
-            one = self._one()
-            nxt = []
-            for r, left in enumerate(prev):
-                right = prev[r + 1] if r + 1 < len(prev) else one
-                width = right - left
-                for o in base:
-                    nxt.append(left + o * width)
-            self._offsets.append(nxt)
-        return self._offsets[ell - 1]
+    @property
+    def granularity(self) -> int:
+        return self.spec.granularity
 
     def start_index(self, ell: int) -> int:
         l = self.spec.granularity
         return ((l ** ell) - 1) // (l - 1)
 
     def element(self, i: int):
+        cache = self._elements
+        if 0 <= i < len(cache):
+            return cache[i]
         if i < 0:
             raise IndexError("mold indices start at 0")
-        if i == 0:
-            return self.spec.cuts[0] - 1
-        l = self.spec.granularity
-        ell = 1
-        while self.start_index(ell + 1) <= i:
-            ell += 1
-        n = i - self.start_index(ell)
-        return ell + self._period(ell)[n]
+        while len(cache) <= i:
+            n = len(cache) - self._period_start
+            if n == len(self._period_offsets):
+                self._next_period()
+                n = 0
+            k, offsets = self._period, self._period_offsets
+            if i == len(cache):  # sequential reads: one element, no slice
+                cache.append(k + offsets[n])
+            else:
+                cache.extend([k + x for x in offsets[n:n + i + 1 - len(cache)]])
+        return cache[i]
 
-    def max_proportion(self):
-        offs = self.spec.offsets() + [self._one()]
-        best = offs[1] - offs[0]
-        for left, right in zip(offs[1:], offs[2:]):
-            gap = right - left
-            if best < gap:
-                best = gap
-        return best
+    def _next_period(self) -> None:
+        prev = self._period_offsets
+        (_, w0), *rest = self._pieces  # the first piece starts at 0
+        nxt = [w0 * x for x in prev]
+        for o, w in rest:
+            nxt += [o + w * x for x in prev]
+        self._period += 1
+        self._period_start += len(prev)
+        self._period_offsets = nxt
+
+    def elements(self, count: int) -> list:
+        if count < 1:
+            return []
+        self.element(count - 1)
+        return self._elements[:count]
 
     def spacing_index(self, m: int) -> tuple[int, str]:
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
-        rho = self.max_proportion()
+        rho = max(w for _, w in self._pieces)
         bound = Fraction(1, m)
         ell = 1
         power = rho
@@ -364,8 +336,8 @@ def metric_mold() -> MetricMold:
     return MetricMold()
 
 
-def golden_fractal_mold() -> GoldenFractalMold:
-    return GoldenFractalMold()
+def golden_fractal_mold() -> FractalMold:
+    return FractalMold(golden_period_spec(), "F")
 
 
 def perfect_fractal_mold(granularity: int) -> PerfectFractalMold:

@@ -151,7 +151,10 @@ def even_filterable_semigroup(mold: Mold, m: int, interval) -> PropertyReport:
     discretization; each such sum must land on an element of even index.
     The witness is the first violating index pair (2i, 2j).
     """
-    d = discretize(mold, m, interval)
+    return _even_filterable(discretize(mold, m, interval))
+
+
+def _even_filterable(d: Discretization) -> PropertyReport:
     s = from_discretization(d)
     kappa = _first_repeat(d).kappa
     even = []

@@ -98,6 +98,19 @@ def test_golden_mold_matches_generic_generation():
     F = golden_fractal_mold()
     generic = FractalMold(golden_period_spec())
     assert F.elements(512) == generic.elements(512)
+    # independent oracle: the bit recursion f_ell at proportion tau
+    count = (1 << 10) - 1
+    expected = []
+    for i in range(count):
+        ell = (i + 1).bit_length() - 1
+        expected.append(ell + f_ell(ell, i + 1 - (1 << ell), TAU))
+    assert golden_fractal_mold().elements(count) == expected
+    # a cache filled out of order hands out the same values
+    shuffled = golden_fractal_mold()
+    order = list(range(count))
+    random.Random(20261018).shuffle(order)
+    for i in order:
+        assert shuffled.element(i) == expected[i], i
 
 
 def test_f_ell_base_cases():
@@ -174,6 +187,13 @@ def test_halving_step_mold():
 def test_bisectional_period_gives_perfect_mold():
     half = FractalMold(PeriodSpec([1, Fraction(3, 2)]))
     assert half.elements(31) == perfect_fractal_mold(2).elements(31)
+    for l in (3, 4, 10):
+        even = FractalMold(PeriodSpec([1 + Fraction(j, l) for j in range(l)]))
+        perfect = perfect_fractal_mold(l)
+        count = perfect.start_index(4) + 1  # three full periods and the next start
+        assert even.elements(count) == perfect.elements(count), l
+        for m in range(1, 301):
+            assert even.spacing_index(m)[0] == perfect.spacing_index(m)[0], (l, m)
 
 
 def test_generic_fractal_simple_period():
@@ -265,6 +285,12 @@ def test_spacing_indices():
     assert not (17 ** 12 < 2 * 16 ** 12)
     assert 12 * TAU ** 6 < 1
     assert not (12 * TAU ** 5 < 1)
+    # F's index is 2^ell - 1 for the least ell with tau^ell < 1/m
+    for m in range(1, 401):
+        ell = 1
+        while not m * TAU ** ell < 1:
+            ell += 1
+        assert F.spacing_index(m)[0] == (1 << ell) - 1, m
 
 
 def test_explicit_mold_boundaries():
