@@ -27,6 +27,7 @@ from .exactnum import (
     ExactValue,
     GoldenNumber,
     LogValue,
+    _floor_int_tau,
     exact_ceil,
     exact_floor,
     exact_frac,
@@ -174,30 +175,35 @@ class Discretization:
 
 
 def _certificate_with_values(mold: Mold, m: int):
-    """Build the certificate and the scaled element list it certifies."""
+    """Build the certificate and the scaled elements up to its prefix end.
+
+    The steps past the prefix end are checked while walking to the horizon;
+    only the prefix's scaled values are kept.
+    """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
-    svals = [_scaled(m, mold.element(i)) for i in range(prefix_end + 1)]
-    conductor = exact_ceil(svals[prefix_end])
+    prefix = [_scaled(m, mold.element(i)) for i in range(prefix_end + 1)]
+    current = prefix[-1]
+    conductor = exact_ceil(current)
     target = conductor + 2 * m + 2
     horizon = prefix_end
-    while exact_floor(svals[horizon]) < target:
-        horizon += 1
-        svals.append(_scaled(m, mold.element(horizon)))
-    for i in range(prefix_end, horizon):
-        if not svals[i + 1] < svals[i] + 1:
+    while exact_floor(current) < target:
+        following = _scaled(m, mold.element(horizon + 1))
+        if not following < current + 1:
             raise SpacingCertificateError(
-                f"mold {mold.name!r}: scaled step at index {i} is not below 1"
+                f"mold {mold.name!r}: scaled step at index {horizon} is not below 1"
             )
+        horizon += 1
+        current = following
     detail = f"{witness}; m*step < 1 checked exactly for indices {prefix_end}..{horizon}"
     cert = TruncationCertificate(mold.name, m, prefix_end, conductor, horizon, detail)
-    return cert, svals
+    return cert, prefix
 
 
 def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
-    cert, svals = _certificate_with_values(mold, m)
-    floors, fracs = zip(*map(_split, svals[: cert.prefix_end + 1]))
+    cert, prefix = _certificate_with_values(mold, m)
+    floors, fracs = zip(*map(_split, prefix))
     return _PrefixTables(mold, cert, floors, fracs)
 
 
@@ -301,6 +307,27 @@ def _rediscretize(interval: AlphaInterval, alpha: Rational) -> Discretization:
     return _discretize_at(interval._tables, alpha)
 
 
+def _breakpoint_key(fracs: tuple, live: list):
+    """A sort key on the indices in live that orders fracs[i] exactly.
+
+    When every fractional part is a golden a + b*tau with int coefficients,
+    the key is (floor(2^P * frac), frac) with P = 2*bit_length(max |b|) + 8:
+    the floor is exact (_floor_int_tau) and monotone in frac, so distinct
+    floors order their parts and equal floors fall back to the exact
+    comparison.  With P that large, equal floors of distinct parts are rare
+    (the gaps between the points {k*tau}, |k| <= K, are at least about
+    1/(sqrt(5)*K), by the three-distance theorem and Hurwitz's bound), but
+    correctness does not rest on it.  Other families sort by value.
+    """
+    parts = [fracs[i] for i in live]
+    if not parts or not all(type(f) is GoldenNumber and type(f.a) is int and type(f.b) is int
+                            for f in parts):
+        return fracs.__getitem__
+    shift = 2 * max(abs(f.b) for f in parts).bit_length() + 8
+    keys = {i: (_floor_int_tau(f.a << shift, f.b << shift), f) for i, f in zip(live, parts)}
+    return keys.__getitem__
+
+
 def alpha_sweep(mold: Mold, m: int) -> list:
     """All distinct discretizations of m * mold, as threshold intervals.
 
@@ -327,8 +354,8 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     name = mold.name
     out = [AlphaInterval(name, m, _ZERO, _ZERO, key, tables)]
     prev = _ZERO
-    order = sorted((i for i, frac in enumerate(fracs) if frac is not None),
-                   key=fracs.__getitem__)
+    live = [i for i, frac in enumerate(fracs) if frac is not None]
+    order = sorted(live, key=_breakpoint_key(fracs, live))
     for frac, group in groupby(order, key=fracs.__getitem__):
         out.append(AlphaInterval(name, m, prev, frac, key, tables))
         prev = frac

@@ -7,6 +7,13 @@ unevaluated m*log2(n) + c ordered through big-integer power comparisons.
 anything: they only seed searches whose answers are verified exactly, and
 certified enclosures are built from integer square roots and interval
 squaring.
+
+Arithmetic results are built through two private raw constructors,
+``_golden`` and ``_log``, which skip the coefficient checks and the
+canonicalization.  They are used only where the form is already
+canonical: integer coefficients of a GoldenNumber (anything else goes
+through the checked constructor), and a LogValue whose (mult, arg) is
+copied from a canonical value.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ def _sign_u_v_sqrt5(u: int, v: int) -> int:
 
 def _sign_a_b_tau(a: Coeff, b: Coeff) -> int:
     """Sign of a + b*tau for rational a, b."""
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
+    if not (type(a) is int and type(b) is int) and (
+            isinstance(a, Fraction) or isinstance(b, Fraction)):
         fa, fb = Fraction(a), Fraction(b)
         q = (fa.denominator * fb.denominator) // math.gcd(fa.denominator, fb.denominator)
         a, b = int(fa * q), int(fb * q)
@@ -127,6 +135,8 @@ class GoldenNumber:
     def _coerce(self, other) -> "GoldenNumber | None":
         if isinstance(other, GoldenNumber):
             return other
+        if type(other) is int:
+            return _golden(other, 0)
         if isinstance(other, bool):
             return None
         if isinstance(other, (int, Fraction)):
@@ -134,10 +144,12 @@ class GoldenNumber:
         return None
 
     def __add__(self, other):
+        if type(other) is int:
+            return _golden(self._a + other, self._b)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self._a + o._a, self._b + o._b)
+        return _golden(self._a + o._a, self._b + o._b)
 
     __radd__ = __add__
 
@@ -145,7 +157,7 @@ class GoldenNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNumber(self._a - o._a, self._b - o._b)
+        return _golden(self._a - o._a, self._b - o._b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -154,22 +166,24 @@ class GoldenNumber:
         return o - self
 
     def __neg__(self) -> GoldenNumber:
-        return GoldenNumber(-self._a, -self._b)
+        return _golden(-self._a, -self._b)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _golden(self._a * other, self._b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, o._a, o._b
         # (a1 + b1 tau)(a2 + b2 tau) with tau^2 = 1 - tau
-        return GoldenNumber(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+        return _golden(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> GoldenNumber:
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers are supported")
-        result = GoldenNumber(1, 0)
+        result = _golden(1, 0)
         base = self
         while n:
             if n & 1:
@@ -237,6 +251,16 @@ class GoldenNumber:
         return (a + b * tau_hi, a + b * tau_lo)
 
 
+def _golden(a: Coeff, b: Coeff) -> GoldenNumber:
+    """GoldenNumber(a, b), skipping the coefficient checks when both are int."""
+    if type(a) is int and type(b) is int:
+        g = object.__new__(GoldenNumber)
+        g._a = a
+        g._b = b
+        return g
+    return GoldenNumber(a, b)
+
+
 TAU = GoldenNumber(0, 1)
 
 
@@ -295,10 +319,12 @@ class LogValue:
     Canonical form keeps n odd (powers of two fold into the offset) and not
     a perfect power (m absorbs the exponent), so equal values share one
     representation and the value is an integer exactly when n == 1.
-    Comparisons reduce to big-integer power comparisons and are exact.
+    Comparisons reduce to big-integer power comparisons and are exact;
+    the power arg**mult is kept once computed, and values sharing
+    (mult, arg) share it.
     """
 
-    __slots__ = ("_m", "_n", "_c")
+    __slots__ = ("_m", "_n", "_c", "_pow")
 
     def __init__(self, mult: int, arg: int, offset: int = 0):
         if not (isinstance(mult, int) and isinstance(arg, int) and isinstance(offset, int)):
@@ -320,6 +346,7 @@ class LogValue:
         self._m = mult
         self._n = arg
         self._c = offset
+        self._pow = None
 
     @property
     def mult(self) -> int:
@@ -365,24 +392,29 @@ class LogValue:
             return LogValue(1, self._n ** self._m * other._n ** other._m,
                             self._c + other._c)
         if isinstance(other, int) and not isinstance(other, bool):
-            return LogValue(self._m, self._n, self._c + other)
+            return _log(self._m, self._n, self._c + other, self._pow)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            return LogValue(self._m, self._n, self._c - other)
+            return _log(self._m, self._n, self._c - other, self._pow)
         return NotImplemented
 
     def scaled(self, k: int) -> LogValue:
         """k * (m*log2(n) + c) for a positive integer k."""
         if not isinstance(k, int) or k < 1:
             raise ValueError("scale must be a positive integer")
-        return LogValue(self._m * k if self._n != 1 else 1, self._n, self._c * k)
+        if self._n == 1:
+            return _log(1, 1, self._c * k, 1)
+        return _log(self._m * k, self._n, self._c * k)
 
     def _power(self) -> int:
-        return self._n ** self._m
+        power = self._pow
+        if power is None:
+            power = self._pow = self._n ** self._m
+        return power
 
     def floor(self) -> int:
         if self._n == 1:
@@ -398,7 +430,7 @@ class LogValue:
         return self._c if self._n == 1 else self.floor() + 1
 
     def frac(self) -> LogValue:
-        return LogValue(self._m, self._n, self._c - self.floor())
+        return _log(self._m, self._n, self._c - self.floor(), self._pow)
 
     def _cmp_rational(self, r: Rational) -> int:
         if self._n == 1:
@@ -461,6 +493,20 @@ class LogValue:
     def enclosure(self, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
         lo, hi = certified_log2(self._n, prec_bits)
         return (self._m * lo + self._c, self._m * hi + self._c)
+
+
+def _log(mult: int, arg: int, offset: int, power: "int | None" = None) -> LogValue:
+    """LogValue(mult, arg, offset) for a form that is already canonical.
+
+    power, when given, is arg**mult (carried over from a value with the
+    same mult and arg).
+    """
+    v = object.__new__(LogValue)
+    v._m = mult
+    v._n = arg
+    v._c = offset
+    v._pow = power
+    return v
 
 
 ExactValue = Union[int, Fraction, GoldenNumber, LogValue]

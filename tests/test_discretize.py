@@ -1,7 +1,9 @@
 """Threshold rounding of molds, truncation certificates, alpha sweep."""
 
+import importlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from welltempered.exactnum import (
 )
 from welltempered.discretize import (
     AlphaInterval,
+    _breakpoint_key,
+    _prefix_tables,
     alpha_sweep,
     discretize,
     interval_for_alpha,
@@ -23,6 +27,7 @@ from welltempered.discretize import (
 )
 from welltempered.molds import (
     ExplicitMold,
+    Mold,
     SpacingCertificateError,
     golden_fractal_mold,
     metric_mold,
@@ -109,6 +114,35 @@ def test_certificate_rejects_bad_input():
         truncation_certificate(L, 0)
     with pytest.raises(ValueError):
         discretize(L, 12, Fraction(3, 2))
+
+
+class _ShortSpacingMold(Mold):
+    """The metric mold with a spacing index three below the true one."""
+
+    name = "short"
+
+    def element(self, i):
+        return L.element(i)
+
+    def spacing_index(self, m):
+        n, witness = L.spacing_index(m)
+        return n - 3, witness
+
+
+def test_certificate_checks_every_step_up_to_the_horizon():
+    for mold, m in ((L, 12), (F, 12), (Q, 19), (L, 400)):
+        cert = truncation_certificate(mold, m)
+        n, witness = mold.spacing_index(m)
+        floors = [exact_floor(_scaled_element(mold, m, i)) for i in range(n, cert.horizon + 1)]
+        # the horizon is the first index from n on whose floor reaches conductor + 2m + 2
+        target = cert.conductor + 2 * m + 2
+        assert floors[-1] >= target and all(f < target for f in floors[:-1])
+        assert cert.spacing_witness == (
+            f"{witness}; m*step < 1 checked exactly for indices {n}..{cert.horizon}")
+    # metric steps at indices 13..15 are at least 1/12: the first is reported
+    with pytest.raises(SpacingCertificateError,
+                       match=r"^mold 'short': scaled step at index 13 is not below 1$"):
+        truncation_certificate(_ShortSpacingMold(), 12)
 
 
 def test_discretization_membership_helpers():
@@ -344,3 +378,45 @@ def test_sweep_keeps_keys_and_builds_representatives_on_demand():
     assert rep is sweep[-1].representative
     assert "values" not in vars(rep)
     assert (rep.prefix, rep.conductor) == sweep[-1].key
+
+
+def _breakpoints(mold, m):
+    fracs = _prefix_tables(mold, m).fracs
+    return fracs, [i for i, frac in enumerate(fracs) if frac is not None]
+
+
+def test_golden_breakpoint_keys_order_exactly():
+    duplicated = 0
+    for m in range(1, 61):
+        fracs, live = _breakpoints(F, m)
+        key = _breakpoint_key(fracs, live)
+        assert all(isinstance(key(i), tuple) for i in live)
+        # same order as the exact GoldenNumber sort, equal parts in index order
+        assert sorted(live, key=key) == sorted(live, key=fracs.__getitem__), m
+        duplicated += len(set(fracs[i] for i in live)) < len(live)
+        if m <= 24:
+            keys = [key(i) for i in live]
+            for i, ki in zip(live, keys):
+                for j, kj in zip(live, keys):
+                    assert (ki < kj) == (fracs[i] < fracs[j]), (m, i, j)
+    assert duplicated > 30  # equal fractional parts were part of the check
+    fracs, live = _breakpoints(L, 12)
+    assert _breakpoint_key(fracs, live)(live[0]) is fracs[live[0]]
+
+
+def test_sweeps_build_few_checked_numbers(monkeypatch):
+    # counts, not times: arithmetic on the sweep path takes the raw
+    # constructors, and each metric element is canonicalized once
+    exactnum = importlib.import_module("welltempered.exactnum")
+    calls = Counter()
+    for name in ("_as_coeff", "_primitive_power"):
+        def counted(*args, _name=name, _fn=getattr(exactnum, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(exactnum, name, counted)
+    alpha_sweep(golden_fractal_mold(), 100)
+    assert calls["_as_coeff"] < 100
+    horizon = truncation_certificate(L, 400).horizon
+    calls.clear()
+    alpha_sweep(L, 400)
+    assert calls["_primitive_power"] <= horizon + 1

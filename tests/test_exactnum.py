@@ -8,6 +8,7 @@ import pytest
 
 from welltempered.exactnum import (
     TAU,
+    _golden,
     CertifiedApprox,
     GoldenNumber,
     LogValue,
@@ -279,3 +280,104 @@ def test_certified_approx_refine():
     assert ca.lower <= Fraction(16, 10) <= ca.upper or ca.upper < Fraction(16, 10)
     exact = CertifiedApprox(Fraction(7, 3))
     assert exact.lower == exact.upper == Fraction(7, 3)
+
+
+def _checked_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
+    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+    return GoldenNumber(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
+
+
+def _same_golden(got: GoldenNumber, expected: GoldenNumber) -> bool:
+    return (got.a == expected.a and got.b == expected.b
+            and type(got.a) is type(expected.a) and type(got.b) is type(expected.b)
+            and got == expected and hash(got) == hash(expected))
+
+
+def test_raw_golden_arithmetic_matches_checked_constructor():
+    # results built without the coefficient checks equal the checked
+    # constructor's, down to coefficient types (Fraction(k, 1) becomes k)
+    rng = random.Random(20260413)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randint(-40, 40)
+        return Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4)))
+
+    collapsed = 0
+    for _ in range(2000):
+        x = GoldenNumber(coeff(), coeff())
+        y = GoldenNumber(coeff(), coeff())
+        k = rng.randint(-9, 9)
+        q = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+        e = rng.randint(0, 4)
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        power = GoldenNumber(1, 0)
+        for _ in range(e):
+            power = _checked_mul(power, x)
+        cases = [
+            (_golden(a1, b1), GoldenNumber(a1, b1)),
+            (x + y, GoldenNumber(a1 + a2, b1 + b2)),
+            (x - y, GoldenNumber(a1 - a2, b1 - b2)),
+            (x * y, _checked_mul(x, y)),
+            (-x, GoldenNumber(-a1, -b1)),
+            (x ** e, power),
+            (x + k, GoldenNumber(a1 + k, b1)),
+            (k + x, GoldenNumber(a1 + k, b1)),
+            (x - k, GoldenNumber(a1 - k, b1)),
+            (k - x, GoldenNumber(k - a1, -b1)),
+            (x * k, GoldenNumber(a1 * k, b1 * k)),
+            (k * x, GoldenNumber(a1 * k, b1 * k)),
+            (x + q, GoldenNumber(a1 + q, b1)),
+            (x - q, GoldenNumber(a1 - q, b1)),
+            (x * q, GoldenNumber(a1 * q, b1 * q)),
+        ]
+        for got, expected in cases:
+            assert _same_golden(got, expected), (x, y, k, q, e, got, expected)
+        collapsed += type((x + y).a) is int and Fraction in (type(a1), type(a2))
+        assert (x < y) == (_golden_sign_highprec(y - x) == 1)
+    assert collapsed > 10  # Fraction sums that land on integers were exercised
+
+
+def test_raw_log_values_match_checked_constructor():
+    rng = random.Random(20260414)
+    args = (1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 81, 243, 1000, 3 ** 7 * 2, 5 ** 4)
+    for _ in range(600):
+        n = rng.choice(args) if rng.random() < 0.6 else rng.randint(1, 5000)
+        x = LogValue(rng.randint(1, 40), n, rng.randint(-50, 50))
+        k, j = rng.randint(1, 30), rng.randint(-20, 20)
+        m, a, c = x.mult, x.arg, x.offset
+        if rng.random() < 0.5:
+            x._power()  # derived values then inherit a filled power cache
+        cases = [
+            (x.scaled(k), LogValue(m * k, a, c * k)),
+            (x + j, LogValue(m, a, c + j)),
+            (j + x, LogValue(m, a, c + j)),
+            (x - j, LogValue(m, a, c - j)),
+            (x.frac(), LogValue(m, a, c - x.floor())),
+        ]
+        for got, expected in cases:
+            assert repr(got) == repr(expected) and hash(got) == hash(expected)
+            assert got == expected
+            assert got._power() == got.arg ** got.mult
+
+
+def test_log_comparisons_unchanged_by_the_power_cache():
+    rng = random.Random(20260415)
+
+    def fresh():
+        return LogValue(rng.randint(1, 30), rng.randint(1, 300), rng.randint(-40, 40))
+
+    values = [fresh() for _ in range(40)]
+    values += [v + 1 for v in values[:10]] + [v.frac() for v in values[10:20]]
+    values += [v.scaled(3) for v in values[20:30]]
+
+    def twin(v):
+        return LogValue(v.mult, v.arg, v.offset)
+
+    def table(vs):
+        return [[(x > y) - (x < y) for y in vs] for x in vs]
+
+    cold = table([twin(v) for v in values])  # every comparison computes its powers
+    first = table(values)
+    again = table(values)  # every power now cached
+    assert cold == first == again
