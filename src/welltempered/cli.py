@@ -2,7 +2,8 @@
 
 Every number on stdout goes through the exact round-half-even renderer and
 all orderings are fixed, so re-running a command is byte-identical.  Exit
-codes: 0 success or PASS, 1 check FAIL, 2 usage error.
+codes: 0 success or PASS, 1 check FAIL, 2 usage error or a comparison
+past the precision budget.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .discretize import discretize
+from .exactnum import PrecisionBudgetExceeded, scale
 from .molds import (
     FractalMold,
     PeriodSpec,
@@ -23,7 +25,7 @@ from .molds import (
     mold_q,
     perfect_fractal_mold,
 )
-from .render import render_compact, render_decimal, render_exact, scale
+from .render import render_compact, render_decimal, render_exact
 from .semigroups import (
     _even_filterable,
     _first_repeat,
@@ -169,6 +171,8 @@ def _cmd_discretize(args, parser) -> int:
     alpha = _parse_alpha(args.alpha, parser)
     try:
         d = discretize(mold, args.m, alpha)
+    except PrecisionBudgetExceeded:
+        raise
     except ValueError as exc:
         parser.error(str(exc))
     s = from_discretization(d)
@@ -499,7 +503,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= args.precision <= 12:
         parser.error("precision must be between 0 and 12")
-    return args.handler(args, parser)
+    try:
+        return args.handler(args, parser)
+    except PrecisionBudgetExceeded as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

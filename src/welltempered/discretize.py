@@ -20,34 +20,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, groupby, islice
-from typing import Union
 
 from .exactnum import (
-    CertifiedApprox,
     ExactValue,
     GoldenNumber,
-    LogValue,
+    Rational,
     _floor_int_tau,
+    _round,
+    _split,
+    certified_sign,
     exact_ceil,
     exact_floor,
-    exact_frac,
-    exact_is_integer,
+    scale,
 )
 from .molds import Mold, SpacingCertificateError
 
-Rational = Union[int, Fraction]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _scaled(m: int, mu) -> ExactValue:
-    """m * mu, staying inside mu's exact family."""
-    if isinstance(mu, LogValue):
-        return mu.scaled(m)
-    if isinstance(mu, GoldenNumber):
-        return mu * m
-    return Fraction(mu) * m
 
 
 @dataclass(frozen=True)
@@ -87,17 +76,6 @@ class _PrefixTables:
     cert: TruncationCertificate
     floors: tuple
     fracs: tuple
-
-
-def _split(s: ExactValue) -> tuple:
-    return exact_floor(s), None if exact_is_integer(s) else exact_frac(s)
-
-
-def _round(floor: int, frac, alpha) -> int:
-    """Threshold rounding: the floor when frac < alpha, else the ceiling."""
-    if frac is None or _lt(frac, alpha):
-        return floor
-    return floor + 1
 
 
 def _key_of(members: list) -> tuple:
@@ -155,7 +133,7 @@ class Discretization:
         yield from self._head
         mold, m = self._tables.mold, self.multiplicity
         for i in count(self.prefix_end + 1):
-            yield _round(*_split(_scaled(m, mold.element(i))), self._alpha)
+            yield _round(*_split(scale(mold.element(i), m)), self._alpha)
 
     @cached_property
     def values(self) -> tuple:
@@ -183,13 +161,13 @@ def _certificate_with_values(mold: Mold, m: int):
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
-    prefix = [_scaled(m, mold.element(i)) for i in range(prefix_end + 1)]
+    prefix = [scale(mold.element(i), m) for i in range(prefix_end + 1)]
     current = prefix[-1]
     conductor = exact_ceil(current)
     target = conductor + 2 * m + 2
     horizon = prefix_end
     while exact_floor(current) < target:
-        following = _scaled(m, mold.element(horizon + 1))
+        following = scale(mold.element(horizon + 1), m)
         if not following < current + 1:
             raise SpacingCertificateError(
                 f"mold {mold.name!r}: scaled step at index {horizon} is not below 1"
@@ -211,34 +189,6 @@ def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
     """Certify prefix_end and conductor for discretizing mold at multiplicity m."""
     cert, _ = _certificate_with_values(mold, m)
     return cert
-
-
-def _cmp_log_rational(lv: LogValue, r) -> int:
-    """Sign of lv - r. Certified refinement first: the direct big-integer
-    comparison raises the log argument to a denominator-sized power, which
-    is hopeless for thresholds like 8631/10000."""
-    if lv.is_integer():
-        return (lv > r) - (lv < r)
-    enc = CertifiedApprox(lv)
-    for _ in range(12):
-        if enc.upper < r:
-            return -1
-        if enc.lower > r:
-            return 1
-        enc.refine()
-    return (lv > r) - (lv < r)
-
-
-def _lt(x, y) -> bool:
-    if isinstance(x, LogValue) and isinstance(y, (int, Fraction)):
-        return _cmp_log_rational(x, y) < 0
-    if isinstance(y, LogValue) and isinstance(x, (int, Fraction)):
-        return _cmp_log_rational(y, x) > 0
-    if isinstance(x, (GoldenNumber, LogValue)):
-        return x < y
-    if isinstance(y, (GoldenNumber, LogValue)):
-        return y > x
-    return x < y
 
 
 def _discretize_at(tables: _PrefixTables, alpha) -> Discretization:
@@ -296,9 +246,7 @@ class AlphaInterval:
     def contains_alpha(self, alpha: Rational) -> bool:
         if self.is_ceiling_point:
             return alpha == 0
-        if not _lt(self.lower, alpha):
-            return False
-        return not _lt(self.upper, alpha)
+        return certified_sign(self.lower, alpha) < 0 <= certified_sign(self.upper, alpha)
 
 
 def _rediscretize(interval: AlphaInterval, alpha: Rational) -> Discretization:
@@ -386,7 +334,7 @@ def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:
     lo, hi = 0, len(intervals)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _lt(intervals[mid].upper, alpha):
+        if certified_sign(intervals[mid].upper, alpha) < 0:
             lo = mid + 1
         else:
             hi = mid

@@ -8,6 +8,13 @@ anything: they only seed searches whose answers are verified exactly, and
 certified enclosures are built from integer square roots and interval
 squaring.
 
+Every certified decision goes through one refinement loop,
+``certified_decision``: it encloses the values at 64 bits and doubles the
+precision until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096),
+past which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the
+values, the bits reached and the last enclosures.  ``certified_sign``
+orders any two exact values on it, exactly where that is cheap.
+
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
 canonicalization.  They are used only where the form is already
@@ -264,13 +271,6 @@ def _golden(a: Coeff, b: Coeff) -> GoldenNumber:
 TAU = GoldenNumber(0, 1)
 
 
-def golden_compare(x: GoldenNumber, y) -> int:
-    """-1, 0 or 1 as x is below, equal to, or above y (GoldenNumber or rational)."""
-    if not isinstance(y, GoldenNumber):
-        y = GoldenNumber(y, 0)
-    return (x - y).sign()
-
-
 @lru_cache(maxsize=None)
 def certified_log2(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure of log2(n) by interval squaring.
@@ -455,9 +455,9 @@ class LogValue:
                 return self._cmp_rational(other._c)
             if self._n == 1:
                 return -other._cmp_rational(self._c)
-            s = max(0, -self._c, -other._c)
-            lhs = self._power() << (self._c + s)
-            rhs = other._power() << (other._c + s)
+            d = self._c - other._c
+            lhs = self._power() << max(d, 0)
+            rhs = other._power() << max(-d, 0)
             return (lhs > rhs) - (lhs < rhs)
         if isinstance(other, bool):
             raise TypeError("cannot compare LogValue with bool")
@@ -543,6 +543,18 @@ def exact_is_integer(x: ExactValue) -> bool:
     return x.is_integer()
 
 
+def _split(x: ExactValue) -> tuple:
+    """(floor, fractional part) of x; the part is None when x is an integer."""
+    return exact_floor(x), None if exact_is_integer(x) else exact_frac(x)
+
+
+def _round(floor: int, frac, alpha) -> int:
+    """Threshold rounding: the floor when frac < alpha, else the ceiling."""
+    if frac is None or certified_sign(frac, alpha) < 0:
+        return floor
+    return floor + 1
+
+
 def floor_alpha(x: ExactValue, alpha: Rational) -> int:
     """Rounding with threshold: floor(x) if frac(x) < alpha, else ceiling(x).
 
@@ -555,11 +567,16 @@ def floor_alpha(x: ExactValue, alpha: Rational) -> int:
         raise TypeError("alpha must be an exact rational")
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
-    k = exact_floor(x)
-    f = exact_frac(x)
-    if f == 0:
-        return k
-    return k if f < alpha else k + 1
+    return _round(*_split(x), alpha)
+
+
+def scale(x: ExactValue, k: int) -> ExactValue:
+    """k * x for a positive integer k, staying inside x's exact family."""
+    if isinstance(x, LogValue):
+        return x.scaled(k)
+    if isinstance(x, GoldenNumber):
+        return x * k
+    return Fraction(x) * k
 
 
 class CertifiedApprox:
@@ -605,61 +622,111 @@ class CertifiedApprox:
         return f"CertifiedApprox({self._value!r}, [{float(self._lo)}, {float(self._hi)}])"
 
 
-def cross_compare(x: ExactValue, y: ExactValue, gap: Fraction = Fraction(1, 10 ** 6)) -> str:
-    """Compare values from different exact families.
+PREC_BUDGET_BITS = 4096
 
-    Returns "less", "greater", "equal" or "inconclusive".  Orderings are
-    proven by disjoint certified enclosures; "equal" is only reported when
-    both sides are exactly representable integers or the comparison stays
-    within one family.  "inconclusive" means both enclosures were refined
-    below ``gap`` without separating.
+
+class PrecisionBudgetExceeded(ValueError):
+    """A certified decision still open at PREC_BUDGET_BITS.
+
+    values are the exact values being decided, bits the precision their
+    enclosures reached, and enclosures the last (lower, upper) of each.
     """
-    if not (is_exact_value(x) and is_exact_value(y)):
-        raise TypeError("cross_compare needs exact values")
-    same_family = (
-        (isinstance(x, GoldenNumber) and isinstance(y, (GoldenNumber, int, Fraction)))
-        or (isinstance(y, GoldenNumber) and isinstance(x, (int, Fraction)))
-        or (isinstance(x, LogValue) and isinstance(y, (LogValue, int, Fraction)))
-        or (isinstance(y, LogValue) and isinstance(x, (int, Fraction)))
-        or (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)))
-    )
-    if same_family:
-        if x == y:
-            return "equal"
-        return "less" if x < y else "greater"
-    if exact_is_integer(x) and exact_is_integer(y):
-        ix = exact_floor(x)
-        iy = exact_floor(y)
-        if ix == iy:
-            return "equal"
-        return "less" if ix < iy else "greater"
-    ax = CertifiedApprox(x)
-    ay = CertifiedApprox(y)
+
+    def __init__(self, values: tuple, bits: int, enclosures: tuple):
+        super().__init__(f"certified comparison not decided within the {bits}-bit precision budget")
+        self.values = values
+        self.bits = bits
+        self.enclosures = enclosures
+
+
+def certified_decision(values: tuple, rule):
+    """The one refinement loop: rule(*enclosures) of values, refined until decided.
+
+    Enclosures start at 64 bits and the inexact ones double while rule returns
+    None; a rule still undecided at PREC_BUDGET_BITS raises PrecisionBudgetExceeded.
+    """
+    bits = 64
+    boxes = [CertifiedApprox(v, bits) for v in values]
     while True:
-        if ax.upper < ay.lower:
-            return "less"
-        if ay.upper < ax.lower:
-            return "greater"
-        if ax.width < gap and ay.width < gap:
-            return "inconclusive"
-        ax.refine()
-        ay.refine()
+        verdict = rule(*boxes)
+        if verdict is not None:
+            return verdict
+        if bits >= PREC_BUDGET_BITS:
+            raise PrecisionBudgetExceeded(tuple(values), bits,
+                                          tuple((box.lower, box.upper) for box in boxes))
+        bits *= 2
+        for box in boxes:
+            if box.width:
+                box.refine()
+
+
+def _separation(a: CertifiedApprox, b: CertifiedApprox):
+    if a.upper < b.lower:
+        return -1
+    if b.upper < a.lower:
+        return 1
+    return None
+
+
+def certified_sign(x: ExactValue, y: ExactValue) -> int:
+    """-1, 0 or 1 as x is below, equal to, or above y, for any two exact values.
+
+    Exact where that is cheap: Z[tau] against Z[tau] or a rational,
+    integer-valued logs, and two logs of one (mult, arg) or whose powers
+    arg**mult and offset difference fit in PREC_BUDGET_BITS bits.  Other
+    pairs are never equal and are ordered by certified_decision.
+    """
+    if type(x) is LogValue or type(y) is LogValue:
+        if type(x) is LogValue and x._n == 1:
+            x = x._c
+        if type(y) is LogValue and y._n == 1:
+            y = y._c
+        if type(x) is LogValue and type(y) is LogValue and (
+                x._n == y._n and x._m == y._m
+                or x._m * x._n.bit_length() + y._m * y._n.bit_length() + abs(x._c - y._c)
+                <= PREC_BUDGET_BITS):
+            return x._cmp(y)
+        if type(x) is LogValue or type(y) is LogValue:
+            return certified_decision((x, y), _separation)
+    if type(x) is GoldenNumber:
+        return (x - y).sign()
+    if type(y) is GoldenNumber:
+        return -(y - x).sign()
+    if not (is_exact_value(x) and is_exact_value(y)):
+        raise TypeError("certified_sign needs exact values")
+    return (x > y) - (x < y)
+
+
+def _settled_floor(box: CertifiedApprox):
+    lower = math.floor(box.lower)
+    return lower if lower == math.floor(box.upper) else None
+
+
+def certified_floor(x: ExactValue) -> int:
+    """floor(x); a non-integer log is enclosed instead of raised to n**m."""
+    if type(x) is LogValue and x._n != 1:
+        return certified_decision((x,), _settled_floor)
+    return exact_floor(x)
+
+
+golden_compare = certified_sign
+
+
+def cross_compare(x: ExactValue, y: ExactValue) -> str:
+    """certified_sign as "less", "equal" or "greater"; "inconclusive" past the budget."""
+    try:
+        sign = certified_sign(x, y)
+    except PrecisionBudgetExceeded:
+        return "inconclusive"
+    return ("less", "equal", "greater")[sign + 1]
 
 
 def rational_between(lo: ExactValue, hi: ExactValue) -> Fraction:
     """A dyadic rational strictly between two exact values (lo < hi required)."""
-    k = 0
-    while k < 512:
-        k += 1
-        scale = 1 << k
-        if isinstance(hi, GoldenNumber):
-            j = (hi * scale).floor()
-        elif isinstance(hi, LogValue):
-            j = hi.scaled(scale).floor()
-        else:
-            j = math.floor(Fraction(hi) * scale)
-        for cand_num in (j, j - 1):
-            cand = Fraction(cand_num, scale)
-            if lo < cand and cand < hi:
+    for k in range(1, 513):
+        j = certified_floor(scale(hi, 1 << k))
+        for num in (j, j - 1):
+            cand = Fraction(num, 1 << k)
+            if certified_sign(lo, cand) < 0 and certified_sign(cand, hi) < 0:
                 return cand
     raise ValueError("values are not separated (or not ordered lo < hi)")

@@ -17,12 +17,12 @@ from typing import Optional, Sequence, Union
 
 from .exactnum import (
     TAU,
-    CertifiedApprox,
     ExactValue,
     GoldenNumber,
     LogValue,
+    certified_decision,
+    certified_sign,
     exact_floor,
-    golden_compare,
 )
 
 CutValue = Union[int, Fraction, GoldenNumber]
@@ -407,15 +407,15 @@ def _gap_strictly_below(a, b, eps: Fraction) -> bool:
     """Certified check that b - a < eps; log values go through enclosures."""
     if not (isinstance(a, LogValue) or isinstance(b, LogValue)):
         return b - a < eps
-    ca, cb = CertifiedApprox(a), CertifiedApprox(b)
-    for _ in range(12):
+
+    def rule(ca, cb):
         if cb.upper - ca.lower < eps:
             return True
         if not cb.lower - ca.upper < eps:
             return False
-        ca.refine()
-        cb.refine()
-    return False
+        return None
+
+    return certified_decision((a, b), rule)
 
 
 def generic_fractal_mold(period: PeriodSpec, count: int) -> tuple[list, PropertyReport]:
@@ -529,21 +529,19 @@ def _certified_subdivision_match(actual, left, o, right, gap: Fraction) -> Optio
     True is never returned: enclosures only ever prove separation (False)
     or leave the pair indistinguishable at width `gap` (None).
     """
-    boxes = {name: CertifiedApprox(v)
-             for name, v in (("a", actual), ("x", left), ("o", o), ("y", right))}
-    for _ in range(10):
-        a = boxes["a"]
-        w = (boxes["y"].lower - boxes["x"].upper, boxes["y"].upper - boxes["x"].lower)
-        prod = _iv_mul((boxes["o"].lower, boxes["o"].upper), w)
-        lo_pred = boxes["x"].lower + prod[0]
-        hi_pred = boxes["x"].upper + prod[1]
+
+    def indistinguishable(a, x, o, y):
+        w = (y.lower - x.upper, y.upper - x.lower)
+        prod = _iv_mul((o.lower, o.upper), w)
+        lo_pred = x.lower + prod[0]
+        hi_pred = x.upper + prod[1]
         if a.upper < lo_pred or hi_pred < a.lower:
             return False
         if (hi_pred - lo_pred) < gap and a.width < gap:
-            return None
-        for box in boxes.values():
-            box.refine()
-    return None
+            return True
+        return None
+
+    return None if certified_decision((actual, left, o, right), indistinguishable) else False
 
 
 def _iv_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
@@ -591,7 +589,7 @@ def uniqueness_certificate() -> UniquenessCertificate:
     )
     verified = all(_poly_mul(f1, f2) == cubic for cubic, (f1, f2) in facts)
     tau_quad = TAU * TAU + TAU - 1 == 0
-    tau_interval = golden_compare(TAU, Fraction(1, 2)) > 0 and golden_compare(TAU, 1) < 0
+    tau_interval = certified_sign(TAU, Fraction(1, 2)) > 0 and certified_sign(TAU, 1) < 0
     # the quadratic is strictly increasing on (1/2, 1) and changes sign there;
     # (p-1)^2 and p^2 - p + 1 have no root in the open interval
     quad_signs = (Fraction(-1, 4) < 0) and (Fraction(1) > 0)

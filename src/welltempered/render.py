@@ -7,31 +7,9 @@ the same value always renders to the same bytes.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .discretize import _scaled
-from .exactnum import CertifiedApprox, LogValue, exact_floor, exact_is_integer
-
-
-def scale(value, k: int):
-    """k times an exact value, staying in the value's family."""
-    if isinstance(value, LogValue):
-        return value.scaled(k)
-    return _scaled(k, value)
-
-
-def _certified_floor(y) -> int:
-    # enclosure refinement sidesteps the huge integer powers an exact
-    # logarithm floor would need at large scale factors
-    if isinstance(y, LogValue) and not y.is_integer():
-        approx = CertifiedApprox(y)
-        for _ in range(64):
-            lo = math.floor(approx.lower)
-            if lo == math.floor(approx.upper):
-                return lo
-            approx.refine()
-    return exact_floor(y)
+from .exactnum import certified_floor, exact_floor, exact_is_integer, scale
 
 
 def render_decimal(value, places: int = 4) -> str:
@@ -40,7 +18,7 @@ def render_decimal(value, places: int = 4) -> str:
         raise ValueError("places must be nonnegative")
     k = 10 ** places
     doubled = scale(value, 2 * k)
-    n2 = _certified_floor(doubled)
+    n2 = certified_floor(doubled)
     q = n2 // 2
     if n2 % 2 == 0:
         scaled = q

@@ -16,8 +16,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .discretize import AlphaInterval, _lt, _rediscretize, _scaled, alpha_sweep
-from .exactnum import cross_compare, exact_floor, exact_frac, exact_is_integer
+from .discretize import AlphaInterval, _rediscretize, alpha_sweep
+from .exactnum import (
+    certified_sign,
+    cross_compare,
+    exact_floor,
+    exact_frac,
+    exact_is_integer,
+    rational_between,
+    scale,
+)
 from .molds import Mold, PropertyReport, golden_fractal_mold, metric_mold
 from .semigroups import (
     CollapseRecord,
@@ -147,23 +155,10 @@ def _merged_regions(mold: Mold, m: int) -> list[AlphaInterval]:
     return regions
 
 
-def _rational_inside(lo, hi) -> Fraction:
-    # dyadic rational strictly between two exact breakpoints, found with
-    # certified comparisons only
-    for k in range(1, 64):
-        scale = 1 << k
-        j = exact_floor(_scaled(scale, hi))
-        for num in (j, j - 1):
-            cand = Fraction(num, scale)
-            if _lt(lo, cand) and _lt(cand, hi):
-                return cand
-    raise RuntimeError("breakpoints are not separated")
-
-
 def _region_alpha(region: AlphaInterval) -> Fraction:
     if region.is_ceiling_point:
         return Fraction(0)
-    return _rational_inside(region.lower, region.upper)
+    return rational_between(region.lower, region.upper)
 
 
 def _midpoint_recheck(region: AlphaInterval, key: tuple[tuple[int, ...], int]) -> None:
@@ -259,14 +254,14 @@ def tail_certificate(m: int) -> TailCertificate:
         raise ValueError(f"the analytic tail starts at multiplicity {TAIL_START}")
     lmold = metric_mold()
     fmold = golden_fractal_mold()
-    third_l = _scaled(m, lmold.element(3))
-    third_f = _scaled(m, fmold.element(3))
+    third_l = scale(lmold.element(3), m)
+    third_f = scale(fmold.element(3), m)
     if not (exact_is_integer(third_l) and exact_floor(third_l) == 2 * m):
         raise RuntimeError("metric mold lost its exact element at index 3")
     if not (exact_is_integer(third_f) and exact_floor(third_f) == 2 * m):
         raise RuntimeError("golden mold lost its exact element at index 3")
-    verdict = cross_compare(_scaled(m, fmold.element(4)),
-                            _scaled(m, lmold.element(4)) + 2)
+    verdict = cross_compare(scale(fmold.element(4), m),
+                            scale(lmold.element(4), m) + 2)
     if verdict != "greater":
         raise RuntimeError(
             f"index-4 separation came back {verdict!r} at multiplicity {m}")
@@ -295,11 +290,11 @@ def h_uniqueness() -> UniquenessReport:
     s = match.semigroup
     lmold = metric_mold()
     fmold = golden_fractal_mold()
-    fourth_l = _scaled(12, lmold.element(4))
-    fourth_f = _scaled(12, fmold.element(4))
+    fourth_l = scale(lmold.element(4), 12)
+    fourth_f = scale(fmold.element(4), 12)
     frac_l4 = exact_frac(fourth_l)
     frac_f4 = exact_frac(fourth_f)
-    frac_f8 = exact_frac(_scaled(12, fmold.element(8)))
+    frac_f8 = exact_frac(scale(fmold.element(8), 12))
     steps = (
         ConstraintStep(
             constraint="shared-fourth-element",
@@ -309,8 +304,8 @@ def h_uniqueness() -> UniquenessReport:
             bound=(f"alpha_L <= {float(frac_l4):.4f} "
                    f"and alpha_F > {float(frac_f4):.4f}"),
             satisfied=(28 in s
-                       and not _lt(frac_l4, match.interval_L.upper)
-                       and not _lt(match.interval_F.lower, frac_f4)),
+                       and certified_sign(frac_l4, match.interval_L.upper) >= 0
+                       and certified_sign(match.interval_F.lower, frac_f4) >= 0),
         ),
         ConstraintStep(
             constraint="second-element-forced",
@@ -322,9 +317,9 @@ def h_uniqueness() -> UniquenessReport:
             constraint="doubling-the-second-element",
             description=(f"closure forces 19 + 19 = 38 into the set, so the "
                          f"golden side also rounds "
-                         f"{float(_scaled(12, fmold.element(8))):.4f} down"),
+                         f"{float(scale(fmold.element(8), 12)):.4f} down"),
             bound=f"alpha_F > {float(frac_f8):.4f}",
-            satisfied=(38 in s and not _lt(match.interval_F.lower, frac_f8)),
+            satisfied=(38 in s and certified_sign(match.interval_F.lower, frac_f8) >= 0),
         ),
     )
     unsatisfied = [step.constraint for step in steps if not step.satisfied]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from welltempered.cli import main
 from welltempered.discretize import alpha_sweep, discretize, interval_for_alpha
-from welltempered.exactnum import TAU
+from welltempered.exactnum import TAU, scale
 from welltempered.molds import (
     PeriodSpec,
     check_even_filterable_mold,
@@ -21,7 +21,7 @@ from welltempered.molds import (
     period_uniqueness_scan,
     uniqueness_certificate,
 )
-from welltempered.render import render_decimal, scale
+from welltempered.render import render_decimal
 from welltempered.semigroups import (
     CollapseRecord,
     collapse,

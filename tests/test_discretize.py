@@ -1,20 +1,27 @@
 """Threshold rounding of molds, truncation certificates, alpha sweep."""
 
 import importlib
+import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from welltempered.cli import main
 from welltempered.exactnum import (
+    PREC_BUDGET_BITS,
     GoldenNumber,
     LogValue,
+    PrecisionBudgetExceeded,
     exact_floor,
     exact_frac,
     exact_is_integer,
+    floor_alpha,
     rational_between,
+    scale,
 )
 from welltempered.discretize import (
     AlphaInterval,
@@ -420,3 +427,52 @@ def test_sweeps_build_few_checked_numbers(monkeypatch):
     calls.clear()
     alpha_sweep(L, 400)
     assert calls["_primitive_power"] <= horizon + 1
+
+
+def test_floor_alpha_is_the_discretization_rule():
+    # a threshold with a large denominator is decided on enclosures, not by
+    # raising 3 to a power the size of the denominator
+    start = time.perf_counter()
+    assert floor_alpha(LogValue(12, 3), Fraction(500001, 10 ** 6)) == 19
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(6180339)
+    for mold, m in ((L, 12), (L, 34), (F, 12), (F, 34), (Q, 16)):
+        for _ in range(4):
+            q = rng.randint(1, 10 ** 4)
+            alpha = Fraction(rng.randint(0, q), q)
+            d = discretize(mold, m, alpha)
+            assert [floor_alpha(scale(mold.element(i), m), alpha)
+                    for i in range(d.horizon + 1)] == list(d.values), (mold.name, m, alpha)
+
+
+@pytest.fixture(scope="module")
+def breakpoint_enclosure():
+    # frac(12*log2(3)) is the metric breakpoint of index 2 at m = 12
+    return LogValue(12, 3, -19).enclosure(9064)
+
+
+def _dyadic_above(enclosure, bits):
+    return Fraction(math.ceil(enclosure[1] * (1 << bits)), 1 << bits)
+
+
+def test_hostile_alpha_stops_at_the_precision_budget(breakpoint_enclosure, capsys):
+    alpha = _dyadic_above(breakpoint_enclosure, 9000)
+    with pytest.raises(PrecisionBudgetExceeded) as info:
+        discretize(L, 12, alpha)
+    evidence = info.value
+    assert evidence.bits == PREC_BUDGET_BITS == 4096
+    assert evidence.values == (LogValue(12, 3, -19), alpha)
+    (lower, upper), point = evidence.enclosures
+    assert lower <= alpha <= upper and point == (alpha, alpha)
+    assert main(["discretize", "--mold", "L", "--m", "12", "--alpha", str(alpha)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "4096-bit precision budget" in err
+
+
+def test_near_breakpoint_alpha_inside_the_budget_resolves(breakpoint_enclosure):
+    alpha = _dyadic_above(breakpoint_enclosure, 2048)
+    d = discretize(L, 12, alpha)
+    located = interval_for_alpha(alpha_sweep(L, 12), alpha)
+    assert located.lower == LogValue(12, 3, -19)
+    assert (d.prefix, d.conductor) == located.key

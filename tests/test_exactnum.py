@@ -1,18 +1,23 @@
 """Tests for the exact number families."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import welltempered
 from welltempered.exactnum import (
     TAU,
     _golden,
     CertifiedApprox,
     GoldenNumber,
     LogValue,
+    certified_floor,
     certified_log2,
+    certified_sign,
     cross_compare,
     exact_ceil,
     exact_floor,
@@ -261,6 +266,76 @@ def test_cross_compare_mixed_direct_comparison_raises():
         _ = TAU < LogValue(1, 3)
     with pytest.raises(TypeError):
         _ = LogValue(1, 3) < TAU
+
+
+def _sign_at_700_bits(x, y) -> int:
+    """The order of x and y shown by disjoint 700-bit enclosures (0 for one point)."""
+    a, b = CertifiedApprox(x, 700), CertifiedApprox(y, 700)
+    if a.upper < b.lower:
+        return -1
+    if b.upper < a.lower:
+        return 1
+    assert a.lower == a.upper == b.lower == b.upper, (x, y)
+    return 0
+
+
+def test_certified_sign_agrees_with_high_precision():
+    # floats only place each partner near the first value, so the pairs are close
+    rng = random.Random(20261018)
+
+    def log():
+        return LogValue(rng.randint(1, 12), rng.randint(1, 60), rng.randint(-40, 40))
+
+    def golden_near(v):
+        b = rng.randint(-40, 40)
+        return GoldenNumber(round(float(v) - b * 0.6180339887) + rng.randint(-1, 1), b)
+
+    def rational_near(v):
+        q = rng.randint(1, 10 ** 4)
+        return Fraction(round(float(v) * q) + rng.randint(-2, 2), q)
+
+    def log_near(v, mults):
+        m, n = rng.randint(*mults), rng.randint(3, 60)
+        return LogValue(m, n, round(float(v) - m * math.log2(n)) + rng.randint(-1, 1))
+
+    for _ in range(150):
+        lv = log()
+        golden = GoldenNumber(rng.randint(-40, 40), rng.randint(-40, 40))
+        # small multipliers compare exactly, large ones through enclosures
+        pairs = [(golden_near(lv), lv), (lv, log_near(lv, (1, 12))),
+                 (lv, log_near(lv, (3000, 6000))), (lv, rational_near(lv)),
+                 (golden, rational_near(golden))]
+        for x, y in pairs:
+            sign = certified_sign(x, y)
+            assert certified_sign(y, x) == -sign
+            if isinstance(y, Fraction) and isinstance(x, GoldenNumber) or (
+                    isinstance(y, LogValue) and isinstance(x, LogValue) and x.arg == y.arg):
+                assert sign == (x > y) - (x < y), (x, y)  # exact, within one family
+            else:
+                assert sign == _sign_at_700_bits(x, y), (x, y)
+
+
+def test_certified_floor_refines_wide_enclosures():
+    # the 64-bit enclosure of 2^k * log2(3) is about 2^(k - 63) wide
+    for k in range(40, 90):
+        x = LogValue(2 ** k, 3)
+        lo, hi = x.enclosure(700)
+        assert certified_floor(x) == math.floor(lo) == math.floor(hi), k
+
+
+def test_only_exactnum_builds_and_refines_enclosures():
+    # one refinement loop: every other module decides through exactnum
+    sites = {}
+    for path in sorted(Path(welltempered.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "CertifiedApprox" or (name == "refine" and isinstance(func, ast.Attribute)):
+                sites.setdefault(path.name, []).append((name, node.lineno))
+    assert set(sites) == {"exactnum.py"}, sites
+    assert [name for name, _ in sites["exactnum.py"]].count("refine") == 1
 
 
 def test_rational_between():

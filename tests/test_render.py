@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from welltempered.exactnum import GoldenNumber, LogValue
+from welltempered.exactnum import GoldenNumber, LogValue, scale
 from welltempered.molds import golden_fractal_mold, metric_mold
 from welltempered.render import (
     render_compact,
     render_decimal,
     render_exact,
-    scale,
 )
 
 L = metric_mold()
