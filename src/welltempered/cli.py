@@ -1,5 +1,10 @@
 """Command-line surface: element tables, discretizations, searches, checks.
 
+Each command handler computes once and returns a `Result` that holds its
+output in every format: the text lines, the CSV rows and the JSON payload,
+plus the exit code.  `main` alone picks the format and writes, to stdout
+or to `--out`, so the three formats cannot drift apart between commands.
+
 Every number on stdout goes through the exact round-half-even renderer and
 all orderings are fixed, so re-running a command is byte-identical.  Exit
 codes: 0 success or PASS, 1 check FAIL, 2 usage error or a comparison
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .discretize import discretize
@@ -49,23 +55,66 @@ SEARCH_BOUND = 34
 TAIL_END = 200
 
 
-def _emit(lines, args) -> None:
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@dataclass(frozen=True)
+class Result:
+    """One command's output in every format, and its exit code.
+
+    `csv` holds rows of fields; `main` joins each row with ",".
+    """
+
+    text: list[str]
+    csv: list[tuple]
+    json: dict
+    code: int = 0
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _listing(column: str, meta: dict, key: str, values: list) -> Result:
+    """A rendered sequence: one line joined by ", ", an `i,<column>` CSV
+    and `{**meta, key: values}`."""
+    return Result(text=[", ".join(values)],
+                  csv=[("i", column), *enumerate(values)],
+                  json={**meta, key: values})
+
+
+def _verdict(which: int, lines: list, fields: list, payload: dict,
+             passed: bool) -> Result:
+    """A theorem check as field/value pairs ending in its verdict."""
+    verdict = "PASS" if passed else "FAIL"
+    return Result(
+        text=[f"theorem {which}", *lines, f"verdict: {verdict}"],
+        csv=[("field", "value"), ("which", which), *fields, ("verdict", verdict)],
+        json={"which": which, **payload, "verdict": verdict},
+        code=0 if passed else 1)
+
+
+def _census(which: int, census, expected, tail_ok: bool | None = None) -> Result:
+    """Theorems 4 and 5: the census up to SEARCH_BOUND against the expected
+    multiplicities; theorem 4 also reports whether its tail is certified
+    (`tail_ok` is None for theorem 5, which has no tail)."""
+    census, expected = sorted(census), sorted(expected)
+    lines = [f"census({SEARCH_BOUND}): {_spaced(census)}"]
+    fields = [("census", _spaced(census))]
+    payload = {"census": census, "expected": expected}
+    if tail_ok is not None:
+        span = f"{TAIL_START}..{TAIL_END}"
+        lines.append(f"tail: {span} "
+                     f"{'certified infeasible' if tail_ok else 'NOT certified'}")
+        fields.append(("tail", f"{span} {'certified' if tail_ok else 'NOT certified'}"))
+        payload["tail"] = {"from": TAIL_START, "to": TAIL_END, "certified": tail_ok}
+    lines.append(f"expected: {_spaced(expected)}")
+    fields.append(("expected", _spaced(expected)))
+    return _verdict(which, lines, fields, payload,
+                    census == expected and tail_ok is not False)
 
 
 def _render(value, args) -> str:
     if args.exact:
         return render_exact(value)
     return render_compact(value, args.precision)
+
+
+def _spaced(values) -> str:
+    return " ".join(str(n) for n in values)
 
 
 def _semigroup_text(s) -> str:
@@ -109,23 +158,16 @@ def _mold_label(args) -> str:
     return args.mold
 
 
-def _cmd_mold_show(args, parser) -> int:
+def _cmd_mold_show(args, parser) -> Result:
     if args.count < 1:
         parser.error("--count must be at least 1")
     mold = _pick_mold(args, parser)
-    rendered = [_render(mold.element(i), args) for i in range(args.count)]
-    if args.format == "text":
-        lines = [", ".join(rendered)]
-    elif args.format == "csv":
-        lines = ["i,mu_i"] + [f"{i},{v}" for i, v in enumerate(rendered)]
-    else:
-        lines = [_dump_json({"mold": _mold_label(args), "count": args.count,
-                             "elements": rendered})]
-    _emit(lines, args)
-    return 0
+    return _listing("mu_i", {"mold": _mold_label(args), "count": args.count},
+                    "elements",
+                    [_render(mold.element(i), args) for i in range(args.count)])
 
 
-def _cmd_table(args, parser) -> int:
+def _cmd_table(args, parser) -> Result:
     if args.m < 1:
         parser.error("--m must be at least 1")
     if args.count < 1:
@@ -135,23 +177,14 @@ def _cmd_table(args, parser) -> int:
               f"emitting computed values", file=sys.stderr)
     lmold = metric_mold()
     fmold = golden_fractal_mold()
-    rows = []
+    rows = [("i", "m_lambda_i", "m_phi_i")]
     for i in range(args.count):
         lam = render_decimal(scale(lmold.element(i), args.m), args.precision)
         phi = render_decimal(scale(fmold.element(i), args.m), args.precision)
         rows.append((i, lam, phi))
-    if args.format == "text":
-        lines = ["i m_lambda_i m_phi_i"]
-        lines += [f"{i} {lam} {phi}" for i, lam, phi in rows]
-    elif args.format == "csv":
-        lines = ["i,m_lambda_i,m_phi_i"]
-        lines += [f"{i},{lam},{phi}" for i, lam, phi in rows]
-    else:
-        lines = [_dump_json({"m": args.m, "rows": [
-            {"i": i, "m_lambda_i": lam, "m_phi_i": phi}
-            for i, lam, phi in rows]})]
-    _emit(lines, args)
-    return 0
+    return Result(text=[_spaced(row) for row in rows], csv=rows,
+                  json={"m": args.m,
+                        "rows": [dict(zip(rows[0], row)) for row in rows[1:]]})
 
 
 def _parse_alpha(text: str, parser) -> Fraction:
@@ -164,7 +197,7 @@ def _parse_alpha(text: str, parser) -> Fraction:
     return alpha
 
 
-def _cmd_discretize(args, parser) -> int:
+def _cmd_discretize(args, parser) -> Result:
     if args.m < 1:
         parser.error("--m must be at least 1")
     mold = _pick_mold(args, parser)
@@ -180,9 +213,33 @@ def _cmd_discretize(args, parser) -> int:
     record = _first_repeat(d)
     even = _even_filterable(d)
     _, genus, multiplicity = genus_multiplicity(s)
-    if args.format == "json":
-        lines = [_dump_json({
-            "mold": _mold_label(args),
+    label = _mold_label(args)
+    return Result(
+        text=[
+            f"semigroup: {_semigroup_text(s)}",
+            f"multiplicity: {multiplicity}",
+            f"genus: {genus}",
+            f"verification: {_report_text(verification)}",
+            f"collapse: {record.kappa} at index {record.witness_index}",
+            f"even-filterable: {_report_text(even)}",
+        ],
+        csv=[
+            ("field", "value"),
+            ("mold", label),
+            ("multiplicity", args.m),
+            ("alpha", alpha),
+            ("prefix", _spaced(s.prefix)),
+            ("conductor", s.conductor),
+            ("genus", genus),
+            ("verification", verification.verdict),
+            ("verification_detail", verification.detail),
+            ("collapse", record.kappa),
+            ("collapse_witness_index", record.witness_index),
+            ("even_filterable", even.verdict),
+            ("even_filterable_detail", even.detail),
+        ],
+        json={
+            "mold": label,
             "multiplicity": args.m,
             "alpha": str(alpha),
             "prefix": list(s.prefix),
@@ -192,100 +249,54 @@ def _cmd_discretize(args, parser) -> int:
             "collapse": {"kappa": record.kappa,
                          "witness_index": record.witness_index},
             "even_filterable": _report_dict(even),
-        })]
-    elif args.format == "csv":
-        lines = [
-            "field,value",
-            f"mold,{_mold_label(args)}",
-            f"multiplicity,{args.m}",
-            f"alpha,{alpha}",
-            "prefix," + " ".join(str(n) for n in s.prefix),
-            f"conductor,{s.conductor}",
-            f"genus,{genus}",
-            f"verification,{verification.verdict}",
-            f"verification_detail,{verification.detail}",
-            f"collapse,{record.kappa}",
-            f"collapse_witness_index,{record.witness_index}",
-            f"even_filterable,{even.verdict}",
-            f"even_filterable_detail,{even.detail}",
-        ]
-    else:
-        lines = [
-            f"semigroup: {_semigroup_text(s)}",
-            f"multiplicity: {multiplicity}",
-            f"genus: {genus}",
-            f"verification: {_report_text(verification)}",
-            f"collapse: {record.kappa} at index {record.witness_index}",
-            f"even-filterable: {_report_text(even)}",
-        ]
-    _emit(lines, args)
-    return 0
+        })
 
 
-def _interval_ends(interval, args) -> tuple[str, str]:
+def _interval_forms(interval, args) -> tuple[str, dict]:
+    """The text form `(lower, upper]`, or `[0, 0]` for the ceiling point,
+    and the JSON form of a threshold interval."""
+    if interval.is_ceiling_point:
+        return "[0, 0]", {"ceiling_point": True, "lower": "0", "upper": "0"}
     if args.exact:
-        return render_exact(interval.lower), render_exact(interval.upper)
-    return (render_decimal(interval.lower, args.precision),
-            render_decimal(interval.upper, args.precision))
+        lo, hi = render_exact(interval.lower), render_exact(interval.upper)
+    else:
+        lo = render_decimal(interval.lower, args.precision)
+        hi = render_decimal(interval.upper, args.precision)
+    return f"({lo}, {hi}]", {"ceiling_point": False, "lower": lo, "upper": hi}
 
 
-def _interval_text(interval, args) -> str:
-    if interval.is_ceiling_point:
-        return "[0, 0]"
-    lo, hi = _interval_ends(interval, args)
-    return f"({lo}, {hi}]"
-
-
-def _interval_dict(interval, args) -> dict:
-    if interval.is_ceiling_point:
-        return {"ceiling_point": True, "lower": "0", "upper": "0"}
-    lo, hi = _interval_ends(interval, args)
-    return {"ceiling_point": False, "lower": lo, "upper": hi}
-
-
-def _cmd_search(args, parser) -> int:
+def _cmd_search(args, parser) -> Result:
     if args.m < 1:
         parser.error("--m must be at least 1")
     matches = simultaneous_search(args.m)
-    if args.format == "json":
-        lines = [_dump_json({"m": args.m, "matches": [
-            {
-                "interval_L": _interval_dict(mt.interval_L, args),
-                "interval_F": _interval_dict(mt.interval_F, args),
-                "prefix": list(mt.semigroup.prefix),
-                "conductor": mt.semigroup.conductor,
-                "even_filterable": [r.verdict for r in mt.even_filterable],
-            }
-            for mt in matches]})]
-    elif args.format == "csv":
-        lines = ["index,interval_L,interval_F,conductor,prefix,even_L,even_F"]
-        for i, mt in enumerate(matches):
-            prefix = " ".join(str(n) for n in mt.semigroup.prefix)
-            il = _interval_text(mt.interval_L, args).replace(", ", "..")
-            jf = _interval_text(mt.interval_F, args).replace(", ", "..")
-            lines.append(f"{i},{il},{jf},{mt.semigroup.conductor},{prefix},"
-                         f"{mt.even_filterable[0].verdict},"
-                         f"{mt.even_filterable[1].verdict}")
-    else:
-        lines = [f"matches: {len(matches)}"]
-        for i, mt in enumerate(matches, start=1):
-            lines += [
-                f"match {i}:",
-                f"  interval_L: {_interval_text(mt.interval_L, args)}",
-                f"  interval_F: {_interval_text(mt.interval_F, args)}",
-                f"  semigroup: {_semigroup_text(mt.semigroup)}",
-                f"  even-filterable: {mt.even_filterable[0].verdict} / "
-                f"{mt.even_filterable[1].verdict}",
-            ]
-    _emit(lines, args)
-    return 0
+    lines = [f"matches: {len(matches)}"]
+    rows = [("index", "interval_L", "interval_F", "conductor", "prefix",
+             "even_L", "even_F")]
+    payload = []
+    for i, mt in enumerate(matches):
+        il, il_json = _interval_forms(mt.interval_L, args)
+        jf, jf_json = _interval_forms(mt.interval_F, args)
+        even = [r.verdict for r in mt.even_filterable]
+        lines += [
+            f"match {i + 1}:",
+            f"  interval_L: {il}",
+            f"  interval_F: {jf}",
+            f"  semigroup: {_semigroup_text(mt.semigroup)}",
+            f"  even-filterable: {even[0]} / {even[1]}",
+        ]
+        rows.append((i, il.replace(", ", ".."), jf.replace(", ", ".."),
+                     mt.semigroup.conductor, _spaced(mt.semigroup.prefix), *even))
+        payload.append({
+            "interval_L": il_json,
+            "interval_F": jf_json,
+            "prefix": list(mt.semigroup.prefix),
+            "conductor": mt.semigroup.conductor,
+            "even_filterable": even,
+        })
+    return Result(text=lines, csv=rows, json={"m": args.m, "matches": payload})
 
 
-def _set_text(values) -> str:
-    return " ".join(str(m) for m in sorted(values))
-
-
-def _cmd_theorem(args, parser) -> int:
+def _cmd_theorem(args, parser) -> Result:
     if args.which == 4:
         census = multiplicity_census(SEARCH_BOUND)
         tail_ok = True
@@ -294,112 +305,43 @@ def _cmd_theorem(args, parser) -> int:
                 tail_certificate(m)
         except RuntimeError:
             tail_ok = False
-        passed = census == set(FEASIBLE_MULTIPLICITIES) and tail_ok
-        verdict = "PASS" if passed else "FAIL"
-        if args.format == "json":
-            lines = [_dump_json({
-                "which": 4,
-                "census": sorted(census),
-                "tail": {"from": TAIL_START, "to": TAIL_END,
-                         "certified": tail_ok},
-                "expected": sorted(FEASIBLE_MULTIPLICITIES),
-                "verdict": verdict,
-            })]
-        elif args.format == "csv":
-            lines = ["field,value",
-                     f"which,4",
-                     f"census,{_set_text(census)}",
-                     f"tail,{TAIL_START}..{TAIL_END} "
-                     f"{'certified' if tail_ok else 'NOT certified'}",
-                     f"expected,{_set_text(FEASIBLE_MULTIPLICITIES)}",
-                     f"verdict,{verdict}"]
-        else:
-            lines = [
-                "theorem 4",
-                f"census({SEARCH_BOUND}): {_set_text(census)}",
-                f"tail: {TAIL_START}..{TAIL_END} "
-                f"{'certified infeasible' if tail_ok else 'NOT certified'}",
-                f"expected: {_set_text(FEASIBLE_MULTIPLICITIES)}",
-                f"verdict: {verdict}",
-            ]
-        _emit(lines, args)
-        return 0 if passed else 1
+        return _census(4, census, FEASIBLE_MULTIPLICITIES, tail_ok)
     if args.which == 5:
-        census = even_filterable_census(SEARCH_BOUND)
-        passed = census == set(EVEN_FILTERABLE_MULTIPLICITIES)
-        verdict = "PASS" if passed else "FAIL"
-        if args.format == "json":
-            lines = [_dump_json({
-                "which": 5,
-                "census": sorted(census),
-                "expected": sorted(EVEN_FILTERABLE_MULTIPLICITIES),
-                "verdict": verdict,
-            })]
-        elif args.format == "csv":
-            lines = ["field,value",
-                     f"which,5",
-                     f"census,{_set_text(census)}",
-                     f"expected,{_set_text(EVEN_FILTERABLE_MULTIPLICITIES)}",
-                     f"verdict,{verdict}"]
-        else:
-            lines = [
-                "theorem 5",
-                f"census({SEARCH_BOUND}): {_set_text(census)}",
-                f"expected: {_set_text(EVEN_FILTERABLE_MULTIPLICITIES)}",
-                f"verdict: {verdict}",
-            ]
-        _emit(lines, args)
-        return 0 if passed else 1
+        return _census(5, even_filterable_census(SEARCH_BOUND),
+                       EVEN_FILTERABLE_MULTIPLICITIES)
     # which == 6
     try:
         rep = h_uniqueness()
     except RuntimeError as exc:
-        _emit([f"theorem 6", f"error: {exc}", "verdict: FAIL"], args)
-        return 1
-    even_ok = all(r.holds for r in rep.match.even_filterable)
-    passed = (rep.semigroup == WELL_TEMPERED_H
-              and rep.collapse_record.kappa == 55
+        return _verdict(6, [f"error: {exc}"], [("error", exc)],
+                        {"error": str(exc)}, False)
+    s, record, even = rep.semigroup, rep.collapse_record, rep.match.even_filterable
+    passed = (s == WELL_TEMPERED_H
+              and record.kappa == 55
               and all(step.satisfied for step in rep.trace)
-              and even_ok)
-    verdict = "PASS" if passed else "FAIL"
-    if args.format == "json":
-        lines = [_dump_json({
-            "which": 6,
-            "prefix": list(rep.semigroup.prefix),
-            "conductor": rep.semigroup.conductor,
-            "collapse": {"kappa": rep.collapse_record.kappa,
-                         "witness_index": rep.collapse_record.witness_index},
-            "trace": [{"constraint": st.constraint, "bound": st.bound,
-                       "satisfied": st.satisfied} for st in rep.trace],
-            "even_filterable": [r.verdict for r in rep.match.even_filterable],
-            "verdict": verdict,
-        })]
-    elif args.format == "csv":
-        lines = ["field,value",
-                 f"which,6",
-                 "prefix," + " ".join(str(n) for n in rep.semigroup.prefix),
-                 f"conductor,{rep.semigroup.conductor}",
-                 f"collapse,{rep.collapse_record.kappa}",
-                 f"verdict,{verdict}"]
-    else:
-        lines = [
-            "theorem 6",
-            f"semigroup: {_semigroup_text(rep.semigroup)}",
-            f"collapse: {rep.collapse_record.kappa} at index "
-            f"{rep.collapse_record.witness_index}",
-        ]
-        for step in rep.trace:
-            state = "satisfied" if step.satisfied else "NOT satisfied"
-            lines.append(f"constraint {step.constraint}: {state} ({step.bound})")
-        lines.append(f"even-filterable: {rep.match.even_filterable[0].verdict} "
-                     f"/ {rep.match.even_filterable[1].verdict} "
-                     f"({rep.match.even_filterable[1].detail})")
-        lines.append(f"verdict: {verdict}")
-    _emit(lines, args)
-    return 0 if passed else 1
+              and all(r.holds for r in even))
+    lines = [f"semigroup: {_semigroup_text(s)}",
+             f"collapse: {record.kappa} at index {record.witness_index}"]
+    for step in rep.trace:
+        state = "satisfied" if step.satisfied else "NOT satisfied"
+        lines.append(f"constraint {step.constraint}: {state} ({step.bound})")
+    lines.append(f"even-filterable: {even[0].verdict} / {even[1].verdict} "
+                 f"({even[1].detail})")
+    return _verdict(
+        6, lines,
+        [("prefix", _spaced(s.prefix)), ("conductor", s.conductor),
+         ("collapse", record.kappa)],
+        {"prefix": list(s.prefix),
+         "conductor": s.conductor,
+         "collapse": {"kappa": record.kappa,
+                      "witness_index": record.witness_index},
+         "trace": [{"constraint": st.constraint, "bound": st.bound,
+                    "satisfied": st.satisfied} for st in rep.trace],
+         "even_filterable": [r.verdict for r in even]},
+        passed)
 
 
-def _cmd_fractal_division(args, parser) -> int:
+def _cmd_fractal_division(args, parser) -> Result:
     if not 0 <= args.depth <= 12:
         parser.error("--depth must be between 0 and 12")
     if args.p == "golden":
@@ -418,26 +360,31 @@ def _cmd_fractal_division(args, parser) -> int:
     mold = FractalMold(spec)
     period = mold.elements(mold.start_index(args.depth + 1))[mold.start_index(args.depth):]
     points = [x - args.depth for x in period] + [spec.cuts[0]]
-    rendered = [_render(x, args) for x in points]
-    if args.format == "text":
-        lines = [", ".join(rendered)]
-    elif args.format == "csv":
-        lines = ["i,cut_i"] + [f"{i},{v}" for i, v in enumerate(rendered)]
-    else:
-        lines = [_dump_json({"p": label, "depth": args.depth,
-                             "points": rendered})]
-    _emit(lines, args)
-    return 0
+    return _listing("cut_i", {"p": label, "depth": args.depth}, "points",
+                    [_render(x, args) for x in points])
 
 
-def _add_common(sub) -> None:
+def _precision(text: str) -> int:
+    """The --precision type: decimal places from 0 to 12, else exit 2."""
+    try:
+        places = int(text)
+    except ValueError:
+        places = -1
+    if not 0 <= places <= 12:
+        raise argparse.ArgumentTypeError("precision must be between 0 and 12")
+    return places
+
+
+def _add_common(sub, precision: bool = False, exact: bool = False) -> None:
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text", help="output format")
     sub.add_argument("--out", default=None, help="write output to a file")
-    sub.add_argument("--precision", type=int, default=4,
-                     help="decimal places for display (rendering only)")
-    sub.add_argument("--exact", action="store_true",
-                     help="print exact symbolic forms instead of decimals")
+    if precision:
+        sub.add_argument("--precision", type=_precision, default=4,
+                         help="decimal places for display (rendering only)")
+    if exact:
+        sub.add_argument("--exact", action="store_true",
+                         help="print exact symbolic forms instead of decimals")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,14 +401,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("L", "F", "Q", "D", "perfect"))
     show.add_argument("--granularity", type=int, default=None)
     show.add_argument("--count", type=int, default=12)
-    _add_common(show)
+    _add_common(show, precision=True, exact=True)
     show.set_defaults(handler=_cmd_mold_show)
 
     table = commands.add_parser(
         "table", help="two-column table of m*lambda_i and m*phi_i")
     table.add_argument("--m", type=int, required=True)
     table.add_argument("--count", type=int, default=51)
-    _add_common(table)
+    _add_common(table, precision=True)
     table.set_defaults(handler=_cmd_table)
 
     disc = commands.add_parser(
@@ -478,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = commands.add_parser(
         "search", help="simultaneous matches of the metric and golden molds")
     search.add_argument("--m", type=int, required=True)
-    _add_common(search)
+    _add_common(search, precision=True, exact=True)
     search.set_defaults(handler=_cmd_search)
 
     theorem = commands.add_parser(
@@ -492,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     division.add_argument("--p", required=True,
                           help='cut proportion: a rational or "golden"')
     division.add_argument("--depth", type=int, required=True)
-    _add_common(division)
+    _add_common(division, precision=True, exact=True)
     division.set_defaults(handler=_cmd_fractal_division)
 
     return parser
@@ -501,13 +448,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.precision <= 12:
-        parser.error("precision must be between 0 and 12")
     try:
-        return args.handler(args, parser)
+        result = args.handler(args, parser)
     except PrecisionBudgetExceeded as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        lines = [json.dumps(result.json, indent=2, sort_keys=True)]
+    elif args.format == "csv":
+        lines = [",".join(str(field) for field in row) for row in result.csv]
+    else:
+        lines = result.text
+    output = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(output)
+    else:
+        sys.stdout.write(output)
+    return result.code
 
 
 if __name__ == "__main__":

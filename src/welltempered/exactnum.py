@@ -709,9 +709,6 @@ def certified_floor(x: ExactValue) -> int:
     return exact_floor(x)
 
 
-golden_compare = certified_sign
-
-
 def cross_compare(x: ExactValue, y: ExactValue) -> str:
     """certified_sign as "less", "equal" or "greater"; "inconclusive" past the budget."""
     try:

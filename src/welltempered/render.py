@@ -59,8 +59,4 @@ def render_exact(value) -> str:
     """The exact symbolic form: a+b*tau, m*log2(n)+c, or p/q."""
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError("render_exact needs an exact value")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)

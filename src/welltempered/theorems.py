@@ -27,6 +27,7 @@ from .exactnum import (
     scale,
 )
 from .molds import Mold, PropertyReport, golden_fractal_mold, metric_mold
+from .render import render_decimal
 from .semigroups import (
     CollapseRecord,
     NumericalSemigroup,
@@ -294,15 +295,16 @@ def h_uniqueness() -> UniquenessReport:
     fourth_f = scale(fmold.element(4), 12)
     frac_l4 = exact_frac(fourth_l)
     frac_f4 = exact_frac(fourth_f)
-    frac_f8 = exact_frac(scale(fmold.element(8), 12))
+    eighth_f = scale(fmold.element(8), 12)
+    frac_f8 = exact_frac(eighth_f)
     steps = (
         ConstraintStep(
             constraint="shared-fourth-element",
             description=(f"the fourth elements must agree, so the metric side "
-                         f"rounds {float(fourth_l):.4f} up and the golden side "
-                         f"rounds {float(fourth_f):.4f} down to 28"),
-            bound=(f"alpha_L <= {float(frac_l4):.4f} "
-                   f"and alpha_F > {float(frac_f4):.4f}"),
+                         f"rounds {render_decimal(fourth_l, 4)} up and the golden side "
+                         f"rounds {render_decimal(fourth_f, 4)} down to 28"),
+            bound=(f"alpha_L <= {render_decimal(frac_l4, 4)} "
+                   f"and alpha_F > {render_decimal(frac_f4, 4)}"),
             satisfied=(28 in s
                        and certified_sign(frac_l4, match.interval_L.upper) >= 0
                        and certified_sign(match.interval_F.lower, frac_f4) >= 0),
@@ -317,8 +319,8 @@ def h_uniqueness() -> UniquenessReport:
             constraint="doubling-the-second-element",
             description=(f"closure forces 19 + 19 = 38 into the set, so the "
                          f"golden side also rounds "
-                         f"{float(scale(fmold.element(8), 12)):.4f} down"),
-            bound=f"alpha_F > {float(frac_f8):.4f}",
+                         f"{render_decimal(eighth_f, 4)} down"),
+            bound=f"alpha_F > {render_decimal(frac_f8, 4)}",
             satisfied=(38 in s and certified_sign(match.interval_F.lower, frac_f8) >= 0),
         ),
     )

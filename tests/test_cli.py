@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from welltempered import cli
 from welltempered.cli import main
 
 
@@ -232,12 +233,13 @@ def test_fractal_division_validation(capsys):
     capsys.readouterr()
 
 
-def test_out_writes_identical_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ("text", "csv", "json"))
+def test_out_writes_identical_bytes(tmp_path, capsys, fmt):
     target = tmp_path / "listing.txt"
-    code, out, _ = run(capsys, ["mold", "show", "--mold", "F", "--count", "8"])
+    argv = ["mold", "show", "--mold", "F", "--count", "8", "--format", fmt]
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    code2 = main(["mold", "show", "--mold", "F", "--count", "8",
-                  "--out", str(target)])
+    code2 = main(argv + ["--out", str(target)])
     captured = capsys.readouterr()
     assert code2 == 0
     assert captured.out == ""
@@ -260,7 +262,42 @@ def test_precision_flag(capsys):
                                 "--precision", "6"])
     assert code == 0
     assert out == "0, 1, 1.618034\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["mold", "show", "--mold", "F", "--precision", "13"])
-    assert exc.value.code == 2
+    for places in ("13", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["mold", "show", "--mold", "F", "--precision", places])
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_display_flags_only_where_read(capsys):
+    for argv in (["table", "--m", "12", "--count", "3", "--exact"],
+                 ["theorem", "--which", "5", "--precision", "3"],
+                 ["theorem", "--which", "6", "--exact"],
+                 ["discretize", "--mold", "F", "--m", "12", "--alpha", "1",
+                  "--precision", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_theorem_6_failure_follows_format(capsys, monkeypatch):
+    def fail():
+        raise RuntimeError("constraint replay failed: second-element-forced")
+
+    monkeypatch.setattr(cli, "h_uniqueness", fail)
+    code, out, _ = run(capsys, ["theorem", "--which", "6"])
+    assert code == 1
+    assert out == ("theorem 6\n"
+                   "error: constraint replay failed: second-element-forced\n"
+                   "verdict: FAIL\n")
+    code, out, _ = run(capsys, ["theorem", "--which", "6", "--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "which": 6, "verdict": "FAIL",
+        "error": "constraint replay failed: second-element-forced"}
+    code, out, _ = run(capsys, ["theorem", "--which", "6", "--format", "csv"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "field,value"
+    assert lines[-1] == "verdict,FAIL"

@@ -29,6 +29,9 @@ for _mold in (["L"], ["F"], ["Q"], ["D"], ["perfect", "--granularity", "3"]):
                               exact=True)
 COMMANDS += _with_formats(["table", "--m", "12", "--count", "30"])
 COMMANDS += _with_formats(["table", "--m", "18", "--count", "51"])
+COMMANDS += _with_formats(["table", "--m", "12", "--count", "5", "--precision", "0"])
+COMMANDS += _with_formats(["mold", "show", "--mold", "L", "--count", "10",
+                           "--precision", "7"])
 for _args in (["--mold", "F", "--m", "12", "--alpha", "1"],
               ["--mold", "L", "--m", "12", "--alpha", "2/5"],
               ["--mold", "Q", "--m", "19", "--alpha", "1/2"],
@@ -39,6 +42,9 @@ for _args in (["--mold", "F", "--m", "12", "--alpha", "1"],
 for _m in ("12", "13", "18"):
     COMMANDS += _with_formats(["search", "--m", _m])
     COMMANDS += _with_formats(["search", "--m", _m], exact=True)
+COMMANDS += _with_formats(["search", "--m", "12", "--precision", "6"])
+COMMANDS += _with_formats(["fractal-division", "--p", "golden", "--depth", "3",
+                           "--precision", "2"])
 for _which in ("4", "5", "6"):
     COMMANDS += _with_formats(["theorem", "--which", _which])
 for _p, _depth in (("golden", "0"), ("golden", "5"), ("1/2", "3"),

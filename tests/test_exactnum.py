@@ -23,7 +23,6 @@ from welltempered.exactnum import (
     exact_floor,
     exact_frac,
     floor_alpha,
-    golden_compare,
     rational_between,
 )
 
@@ -58,10 +57,10 @@ def test_golden_sum_hits_integer():
 
 
 def test_golden_compare_examples():
-    assert golden_compare(TAU, GoldenNumber(1, -1)) == 1  # tau > 1 - tau
-    assert golden_compare(TAU, Fraction(618, 1000)) == 1
-    assert golden_compare(TAU, Fraction(619, 1000)) == -1
-    assert golden_compare(TAU, TAU) == 0
+    assert certified_sign(TAU, GoldenNumber(1, -1)) == 1  # tau > 1 - tau
+    assert certified_sign(TAU, Fraction(618, 1000)) == 1
+    assert certified_sign(TAU, Fraction(619, 1000)) == -1
+    assert certified_sign(TAU, TAU) == 0
 
 
 def test_golden_ring_laws():
@@ -88,7 +87,7 @@ def test_golden_compare_matches_high_precision():
         expected = _golden_sign_highprec(x - y)
         if expected is None:
             continue
-        assert golden_compare(x, y) == expected
+        assert certified_sign(x, y) == expected
         checked += 1
     assert checked >= 9_990
 
