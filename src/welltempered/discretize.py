@@ -203,13 +203,11 @@ def _discretize_at(tables: _PrefixTables, alpha) -> Discretization:
 def discretize(mold: Mold, m: int, alpha) -> Discretization:
     """The image of m * mold under threshold rounding at alpha.
 
-    alpha may be an exact rational in [0, 1] or an AlphaInterval from
-    alpha_sweep (whose representative is returned, built on first use).
+    alpha must be an exact rational in [0, 1].  An AlphaInterval from
+    alpha_sweep already holds its image: read its representative instead.
     """
-    if isinstance(alpha, AlphaInterval):
-        return alpha.representative
     if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
-        raise TypeError("alpha must be an exact rational or an AlphaInterval")
+        raise TypeError("alpha must be an exact rational")
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
     return _discretize_at(_prefix_tables(mold, m), alpha)

@@ -2,11 +2,11 @@
 
 ``GoldenNumber`` is the ring Z[tau], tau = (sqrt(5) - 1)/2, with a total
 order decided purely by integer sign analysis.  ``LogValue`` is an
-unevaluated m*log2(n) + c ordered through big-integer power comparisons.
-``fractions.Fraction`` covers the rational family.  Floats never decide
-anything: they only seed searches whose answers are verified exactly, and
-certified enclosures are built from integer square roots and interval
-squaring.
+unevaluated m*log2(n) + c, ordered against another log through
+big-integer power comparisons and against a rational through certified
+enclosures.  ``fractions.Fraction`` covers the rational family.  Floats
+never decide anything: certified enclosures are built from integer square
+roots and interval squaring.
 
 Every certified decision goes through one refinement loop,
 ``certified_decision``: it encloses the values at 64 bits and doubles the
@@ -45,15 +45,19 @@ def _as_coeff(x: Coeff) -> Coeff:
 
 
 def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, k >= 1, exactly."""
-    if k == 1 or n == 1:
-        return n if k == 1 else 1
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    """floor(n ** (1/k)) for n >= 1, k >= 1, exactly, by integer Newton steps.
+
+    The seed 2^ceil(bits/k) is at least the root, and from above the
+    Newton iterates decrease to the floor of the root, where they stop.
+    """
+    if k == 1:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _primitive_power(n: int) -> tuple[int, int]:
@@ -319,9 +323,10 @@ class LogValue:
     Canonical form keeps n odd (powers of two fold into the offset) and not
     a perfect power (m absorbs the exponent), so equal values share one
     representation and the value is an integer exactly when n == 1.
-    Comparisons reduce to big-integer power comparisons and are exact;
-    the power arg**mult is kept once computed, and values sharing
-    (mult, arg) share it.
+    Equality is therefore structural.  Two non-integer logs are ordered by
+    an exact big-integer power comparison; the power arg**mult is kept
+    once computed, and values sharing (mult, arg) share it.  Against a
+    rational the order comes from certified_sign.
     """
 
     __slots__ = ("_m", "_n", "_c", "_pow")
@@ -432,42 +437,24 @@ class LogValue:
     def frac(self) -> LogValue:
         return _log(self._m, self._n, self._c - self.floor(), self._pow)
 
-    def _cmp_rational(self, r: Rational) -> int:
-        if self._n == 1:
-            c = Fraction(self._c)
-            rr = Fraction(r)
-            return (c > rr) - (c < rr)
-        rr = Fraction(r)
-        p, q = rr.numerator, rr.denominator
-        # m*log2(n) + c vs p/q  <=>  n^(m*q) vs 2^(p - c*q)
-        rhs_exp = p - self._c * q
-        if rhs_exp < 0:
-            return 1
-        lhs = self._n ** (self._m * q)
-        rhs = 1 << rhs_exp
-        return (lhs > rhs) - (lhs < rhs)
-
     def _cmp(self, other) -> int:
-        if isinstance(other, LogValue):
+        if type(other) is LogValue and self._n != 1 and other._n != 1:
             if self._n == other._n and self._m == other._m:
                 return (self._c > other._c) - (self._c < other._c)
-            if other._n == 1:
-                return self._cmp_rational(other._c)
-            if self._n == 1:
-                return -other._cmp_rational(self._c)
             d = self._c - other._c
             lhs = self._power() << max(d, 0)
             rhs = other._power() << max(-d, 0)
             return (lhs > rhs) - (lhs < rhs)
-        if isinstance(other, bool):
-            raise TypeError("cannot compare LogValue with bool")
-        if isinstance(other, (int, Fraction)):
-            return self._cmp_rational(other)
-        raise TypeError(f"cannot compare LogValue with {type(other).__name__}")
+        if isinstance(other, bool) or not isinstance(other, (LogValue, int, Fraction)):
+            raise TypeError(f"cannot compare LogValue with {type(other).__name__}")
+        return certified_sign(self, other)
 
     def __eq__(self, other):
-        if isinstance(other, (LogValue, int, Fraction)) and not isinstance(other, bool):
-            return self._cmp(other) == 0
+        # canonical forms are unique, and a non-integer log is irrational
+        if isinstance(other, LogValue):
+            return (self._m, self._n, self._c) == (other._m, other._n, other._c)
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._n == 1 and self._c == other
         return NotImplemented
 
     def __lt__(self, other):

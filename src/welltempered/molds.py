@@ -251,71 +251,47 @@ class FractalMold(Mold):
         return self.start_index(ell), f"rho^{ell} < 1/{m} with rho the largest first-period gap"
 
 
-class PerfectFractalMold(Mold):
-    """Perfect fractal mold of granularity l: period k is {k + j/l^k : 0 <= j < l^k}."""
+class GridMold(Mold):
+    """Period k >= 1 is the even grid {k + j/n_k : 0 <= j < n_k}, n_k = first * base^(k-1).
 
-    def __init__(self, granularity: int):
-        if granularity < 2:
+    The perfect fractal mold of granularity l is first = base = l; mold Q
+    (0, 1, 1.25, ..., 2, 2.125, ...) is first = 4, base = 2.
+    """
+
+    def __init__(self, first: int, base: int, name: str, kind: str):
+        if first < 2 or base < 2:
             raise ValueError("granularity must be >= 2")
-        self.granularity = granularity
-        self.name = f"perfect[{granularity}]"
-        self.kind = f"perfect-fractal({granularity})"
+        self.granularity = first
+        self.base = base
+        self.name = name
+        self.kind = kind
 
-    def start_index(self, ell: int) -> int:
-        l = self.granularity
-        return ((l ** ell) - 1) // (l - 1)
+    def _size(self, k: int) -> int:
+        return self.granularity * self.base ** (k - 1)
 
-    def element(self, i: int) -> Fraction:
-        if i < 0:
-            raise IndexError("mold indices start at 0")
-        if i == 0:
-            return Fraction(0)
-        ell = 1
-        while self.start_index(ell + 1) <= i:
-            ell += 1
-        j = i - self.start_index(ell)
-        return ell + Fraction(j, self.granularity ** ell)
-
-    def spacing_index(self, m: int) -> tuple[int, str]:
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
-        l = self.granularity
-        k = 1
-        while l ** k <= m:
-            k += 1
-        return self.start_index(k), f"{l}^{k} > {m}, period-{k} step is {l}^-{k}"
-
-
-class HalvingStepMold(Mold):
-    """Granularity-4 mold whose period i steps by 2^-(i+1): 0, 1, 1.25, ..., 2, 2.125, ..."""
-
-    name = "Q"
-    kind = "explicit(list rule)"
-
-    @staticmethod
-    def start_index(period: int) -> int:
-        if period == 0:
+    def start_index(self, k: int) -> int:
+        """Index of the first element of period k; period 0 is {0}."""
+        if k == 0:
             return 0
-        return (1 << (period + 1)) - 3  # 1 + sum of 2^(j+1), j = 1..period-1
+        return 1 + self.granularity * (self.base ** (k - 1) - 1) // (self.base - 1)
 
     def element(self, i: int) -> Fraction:
         if i < 0:
             raise IndexError("mold indices start at 0")
         if i == 0:
             return Fraction(0)
-        period = 1
-        while self.start_index(period + 1) <= i:
-            period += 1
-        j = i - self.start_index(period)
-        return period + Fraction(j, 1 << (period + 1))
+        k = 1
+        while self.start_index(k + 1) <= i:
+            k += 1
+        return k + Fraction(i - self.start_index(k), self._size(k))
 
     def spacing_index(self, m: int) -> tuple[int, str]:
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
-        period = 1
-        while (1 << (period + 1)) <= m:
-            period += 1
-        return self.start_index(period), f"2^{period + 1} > {m}, period-{period} step is 2^-{period + 1}"
+        k = 1
+        while self._size(k) <= m:
+            k += 1
+        return self.start_index(k), f"{self._size(k)} > {m}, period-{k} step is 1/{self._size(k)}"
 
 
 class ExplicitMold(Mold):
@@ -340,8 +316,9 @@ def golden_fractal_mold() -> FractalMold:
     return FractalMold(golden_period_spec(), "F")
 
 
-def perfect_fractal_mold(granularity: int) -> PerfectFractalMold:
-    return PerfectFractalMold(granularity)
+def perfect_fractal_mold(granularity: int) -> GridMold:
+    return GridMold(granularity, granularity, f"perfect[{granularity}]",
+                    f"perfect-fractal({granularity})")
 
 
 def fractal_mold(period: PeriodSpec, name: str = "") -> FractalMold:
@@ -352,14 +329,12 @@ def golden_period_spec() -> PeriodSpec:
     return PeriodSpec([GoldenNumber(1, 0), GoldenNumber(1, 1)])
 
 
-def mold_q() -> HalvingStepMold:
-    return HalvingStepMold()
+def mold_q() -> GridMold:
+    return GridMold(4, 2, "Q", "explicit(list rule)")
 
 
-def mold_d() -> PerfectFractalMold:
-    d = PerfectFractalMold(10)
-    d.name = "D"
-    return d
+def mold_d() -> GridMold:
+    return GridMold(10, 10, "D", "perfect-fractal(10)")
 
 
 def _closure_check(values: list, prefix_bound: int, prop: str) -> PropertyReport:

@@ -4,20 +4,20 @@ A numerical semigroup is stored canonically as a finite prefix plus a
 conductor: the sorted members below the smallest integer from which
 everything is present. Verification checks additive closure pair by pair,
 reporting the smallest violating pair. On top of that sit the quantities
-tied to discretized molds: the collapse (first integer hit by two
-consecutive mold indices) and the even-index filter test (sums of
-even-indexed elements must stay even-indexed until the collapse absorbs
-them).
+tied to discretized molds, each computed from the Discretization it
+describes: the collapse (first integer hit by two consecutive mold
+indices) and the even-index filter test (sums of even-indexed elements
+must stay even-indexed until the collapse absorbs them), which is the
+half-closed-pipe condition.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .discretize import Discretization, discretize
-from .molds import Mold, PropertyReport
+from .discretize import Discretization
+from .molds import PropertyReport
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,12 @@ class CollapseRecord:
     witness_index: int
 
 
-def collapse(mold: Mold, m: int, interval) -> CollapseRecord:
+def collapse(d: Discretization) -> CollapseRecord:
     """First repeated value of the discretization's index map.
 
-    interval may be an AlphaInterval (its representative map is used, i.e.
-    the threshold sits at the interval's upper endpoint) or an exact
-    rational threshold. The map is followed past the stored horizon in the
-    rare case the certified range shows no repeat yet.
+    The map is followed past the stored horizon in the rare case the
+    certified range shows no repeat yet.
     """
-    return _first_repeat(discretize(mold, m, interval))
-
-
-def _first_repeat(d: Discretization) -> CollapseRecord:
     previous = None
     for i, value in enumerate(d.iter_values()):
         if value == previous:
@@ -144,19 +138,15 @@ def _first_repeat(d: Discretization) -> CollapseRecord:
         previous = value
 
 
-def even_filterable_semigroup(mold: Mold, m: int, interval) -> PropertyReport:
+def even_filterable_semigroup(d: Discretization) -> PropertyReport:
     """Sums of two even-indexed elements must be even-indexed or >= collapse.
 
     Checks every pair (s_2i, s_2j) whose sum lies below the collapse of the
     discretization; each such sum must land on an element of even index.
     The witness is the first violating index pair (2i, 2j).
     """
-    return _even_filterable(discretize(mold, m, interval))
-
-
-def _even_filterable(d: Discretization) -> PropertyReport:
     s = from_discretization(d)
-    kappa = _first_repeat(d).kappa
+    kappa = collapse(d).kappa
     even = []
     i = 0
     while s.element(2 * i) < kappa:  # pairs beyond this cannot sum below kappa

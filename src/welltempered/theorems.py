@@ -33,7 +33,6 @@ from .semigroups import (
     NumericalSemigroup,
     collapse,
     even_filterable_semigroup,
-    from_discretization,
     verify_semigroup,
 )
 
@@ -51,7 +50,7 @@ class SimultaneousMatch:
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """Analytic infeasibility witness for one large multiplicity."""
+    """Analytic infeasibility witness for a multiplicity and all larger ones."""
 
     m: int
     anchor: int  # the element both scaled molds hit exactly at index 3
@@ -190,22 +189,21 @@ def _search(m: int) -> tuple[SimultaneousMatch, ...]:
         on_both_sides = partners.get(key)
         if not on_both_sides:
             continue
+        semigroup = NumericalSemigroup(*key)  # sweep keys are canonical
         if key not in closed:
-            closed[key] = verify_semigroup(NumericalSemigroup(*key)).holds
+            closed[key] = verify_semigroup(semigroup).holds
         if not closed[key]:
             continue
         _midpoint_recheck(rl, key)
+        even_l = even_filterable_semigroup(rl.representative)
         for rf in on_both_sides:
             _midpoint_recheck(rf, key)
             matches.append(SimultaneousMatch(
                 m=m,
                 interval_L=rl,
                 interval_F=rf,
-                semigroup=from_discretization(rl.representative),
-                even_filterable=(
-                    even_filterable_semigroup(lmold, m, rl),
-                    even_filterable_semigroup(fmold, m, rf),
-                ),
+                semigroup=semigroup,
+                even_filterable=(even_l, even_filterable_semigroup(rf.representative)),
             ))
     return tuple(matches)
 
@@ -243,13 +241,15 @@ def even_filterable_census(m_max: int) -> set[int]:
 
 
 def tail_certificate(m: int) -> TailCertificate:
-    """Prove no simultaneous discretization exists at a large multiplicity.
+    """Prove no simultaneous discretization exists at m or any larger multiplicity.
 
     Both scaled molds contain 2m exactly at index 3, so equal images would
     need their index-4 values to round to the same integer; a certified
     comparison shows the golden value exceeds the metric value by more
-    than 2, which makes that impossible.  Raises if the comparison cannot
-    be certified.
+    than 2, which makes that impossible.  The excess m*(phi_4 - lambda_4)
+    grows with m because phi_4 = 3 - tau exceeds lambda_4 = log2(5), which
+    is certified too, so one m covers every larger one.  Raises if either
+    comparison cannot be certified.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < TAIL_START:
         raise ValueError(f"the analytic tail starts at multiplicity {TAIL_START}")
@@ -266,13 +266,18 @@ def tail_certificate(m: int) -> TailCertificate:
     if verdict != "greater":
         raise RuntimeError(
             f"index-4 separation came back {verdict!r} at multiplicity {m}")
+    if certified_sign(fmold.element(4), lmold.element(4)) <= 0:
+        raise RuntimeError("phi_4 does not exceed lambda_4, so the separation "
+                           "need not grow with m")
     return TailCertificate(
         m=m,
         anchor=2 * m,
         comparison="greater",
         detail=(f"both sides contain {2 * m} exactly; the next element rounds the "
                 f"index-4 value, and the golden one exceeds the metric one by "
-                f"more than 2, so the rounded values can never agree"),
+                f"more than 2, so the rounded values can never agree; the excess "
+                f"m*(phi_4 - lambda_4) grows with m since phi_4 > lambda_4, so "
+                f"this holds for every multiplicity from {m} on"),
     )
 
 
@@ -329,6 +334,6 @@ def h_uniqueness() -> UniquenessReport:
         raise RuntimeError("constraint replay failed: " + ", ".join(unsatisfied))
     return UniquenessReport(
         match=match,
-        collapse_record=collapse(fmold, 12, match.interval_F),
+        collapse_record=collapse(match.interval_F.representative),
         trace=steps,
     )

@@ -83,10 +83,10 @@ def test_unique_twelve_division_match():
     s = match.semigroup
     assert s.prefix == H_SET
     assert s.conductor == H_CONDUCTOR
-    assert collapse(F, 12, 1) == CollapseRecord(kappa=55, witness_index=22)
+    assert collapse(discretize(F, 12, 1)) == CollapseRecord(kappa=55, witness_index=22)
     for report in match.even_filterable:
         assert report.holds
-    detail = even_filterable_semigroup(F, 12, match.interval_F).detail
+    detail = even_filterable_semigroup(match.interval_F.representative).detail
     assert detail == "s_2+s_2=s_8; s_2+s_4=s_14; s_2+s_6=s_20"
 
 

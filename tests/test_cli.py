@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import csv
 import json
 
 import pytest
@@ -301,3 +302,14 @@ def test_theorem_6_failure_follows_format(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[0] == "field,value"
     assert lines[-1] == "verdict,FAIL"
+
+
+def test_csv_quotes_a_field_with_a_comma(capsys, monkeypatch):
+    def fail():
+        raise RuntimeError("constraint replay failed: a, b")
+
+    monkeypatch.setattr(cli, "h_uniqueness", fail)
+    code, out, _ = run(capsys, ["theorem", "--which", "6", "--format", "csv"])
+    assert code == 1
+    rows = list(csv.reader(out.splitlines()))
+    assert ["error", "constraint replay failed: a, b"] in rows

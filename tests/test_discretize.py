@@ -294,10 +294,12 @@ def test_values_monotone_with_small_tail_steps():
             assert all(b - a <= 1 for a, b in zip(tail, tail[1:]))
 
 
-def test_discretize_accepts_interval_argument():
-    sweep = alpha_sweep(Q, 16)
-    iv = interval_for_alpha(sweep, Fraction(1, 2))
-    assert discretize(Q, 16, iv) is iv.representative
+def test_discretize_rejects_interval_argument():
+    # an interval holds the image of its own mold and multiplicity, which
+    # need not be the ones passed alongside it
+    iv = interval_for_alpha(alpha_sweep(F, 12), 1)
+    with pytest.raises(TypeError):
+        discretize(Q, 7, iv)
 
 
 def test_multiplicity_is_m_on_every_interval():

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import welltempered
 from welltempered.exactnum import (
     TAU,
     _golden,
+    _integer_root,
     CertifiedApprox,
     GoldenNumber,
     LogValue,
@@ -170,6 +172,31 @@ def test_log_value_ordering_against_rationals():
     assert v > 0
     assert LogValue(1, 3) > Fraction(3, 2)
     assert LogValue(1, 3) < Fraction(8, 5)
+
+
+def test_log_value_against_fine_rational_is_fast():
+    # 12*log2(3) - 19 is about 0.0196; an exact power comparison would
+    # raise 3 to the 12 * 10**6 to decide it
+    start = time.perf_counter()
+    assert LogValue(12, 3, -19) < Fraction(500001, 10 ** 6)
+    assert not LogValue(12, 3, -19) >= Fraction(500001, 10 ** 6)
+    assert LogValue(12, 3, -19) != Fraction(500001, 10 ** 6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_log_value_huge_perfect_power_canonicalizes():
+    assert LogValue(1, 3 ** 700) == LogValue(700, 3)
+    assert hash(LogValue(1, 3 ** 700)) == hash(LogValue(700, 3))
+
+
+def test_integer_root_brackets_the_root():
+    rng = random.Random(97531)
+    samples = [1, 2, 3, 7, 8, 9, 10 ** 6, 3 ** 700 - 1, 3 ** 700, 3 ** 700 + 1, 10 ** 400]
+    samples += [rng.randint(1, 1 << rng.randint(1, 1500)) for _ in range(200)]
+    for n in samples:
+        for k in (1, 2, 3, 5, 7, 64, 700):
+            r = _integer_root(n, k)
+            assert r ** k <= n < (r + 1) ** k, (n, k)
 
 
 def test_floor_alpha_threshold_semantics():

@@ -107,48 +107,59 @@ def test_sixteen_q_verifies():
 
 
 def test_collapse_golden_twelve_flooring():
-    record = collapse(F, 12, 1)
+    record = collapse(discretize(F, 12, 1))
     assert record == CollapseRecord(kappa=55, witness_index=22)
     iv = interval_for_alpha(alpha_sweep(F, 12), 1)
-    assert collapse(F, 12, iv) == record
+    assert collapse(iv.representative) == record
     assert record.witness_index < 63  # repeat sits safely inside the prefix
 
 
+def test_checks_take_the_discretization_they_check():
+    # a (mold, m, threshold) triple is refused, so a threshold interval of
+    # one mold cannot stand in for another mold's image
+    iv = interval_for_alpha(alpha_sweep(F, 12), 1)
+    with pytest.raises(TypeError):
+        collapse(L, 12, iv)
+    with pytest.raises(TypeError):
+        even_filterable_semigroup(L, 12, iv)
+    assert collapse(discretize(L, 12, iv.upper)).kappa == 50
+
+
 def test_collapse_metric_multiplicity_one():
-    assert collapse(L, 1, 1) == CollapseRecord(kappa=1, witness_index=1)
+    assert collapse(discretize(L, 1, 1)) == CollapseRecord(kappa=1, witness_index=1)
 
 
 def test_collapse_metric_eighteen_small_threshold():
-    record = collapse(L, 18, Fraction(1, 20))
+    record = collapse(discretize(L, 18, Fraction(1, 20)))
     assert record.kappa == 90
     assert record.witness_index == 30
 
 
 def test_collapse_metric_twelve_at_representative():
     iv = interval_for_alpha(alpha_sweep(L, 12), Fraction(2, 5))
-    assert collapse(L, 12, iv) == CollapseRecord(kappa=54, witness_index=21)
+    assert collapse(iv.representative) == CollapseRecord(kappa=54, witness_index=21)
 
 
 def test_even_filterable_twelve_tone_both_molds():
     ivf = interval_for_alpha(alpha_sweep(F, 12), 1)
-    report = even_filterable_semigroup(F, 12, ivf)
+    report = even_filterable_semigroup(ivf.representative)
     assert report.holds
     assert report.prefix_bound == 55
     for identity in ("s_2+s_2=s_8", "s_2+s_4=s_14", "s_2+s_6=s_20"):
         assert identity in report.detail
     ivl = interval_for_alpha(alpha_sweep(L, 12), Fraction(2, 5))
-    assert even_filterable_semigroup(L, 12, ivl).holds
+    assert even_filterable_semigroup(ivl.representative).holds
 
 
 def test_even_filterable_thirteen_fails():
-    report = even_filterable_semigroup(L, 13, Fraction(3, 20))
+    report = even_filterable_semigroup(discretize(L, 13, Fraction(3, 20)))
     assert not report.holds
     assert report.witness == (2, 4)
     assert "52" in report.detail and "s_15" in report.detail
 
 
 def test_even_filterable_eighteen_fails():
-    report = even_filterable_semigroup(L, 18, Fraction(1, 20))
+    report = even_filterable_semigroup(discretize(L, 18, Fraction(1, 20)))
     assert not report.holds
     assert report.witness == (2, 8)
     assert "87" in report.detail and "s_27" in report.detail

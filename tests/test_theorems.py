@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from welltempered import theorems
+from welltempered.cli import main
 from welltempered.discretize import discretize
 from welltempered.exactnum import GoldenNumber, LogValue
 from welltempered.molds import golden_fractal_mold, metric_mold
@@ -141,6 +143,23 @@ def test_tail_certificate_range():
         assert cert.anchor == 2 * m
         assert cert.comparison == "greater"
     assert tail_certificate(1000).anchor == 2000
+
+
+def test_tail_certificate_covers_every_larger_multiplicity():
+    cert = tail_certificate(theorems.TAIL_START)
+    assert cert.m == 35 and cert.comparison == "greater"
+    assert "grows with m" in cert.detail and "from 35 on" in cert.detail
+
+
+def test_tail_certificate_needs_the_growth_comparison(monkeypatch, capsys):
+    # mutation: the comparison phi_4 > lambda_4, which carries the tail
+    # from one m to every larger one, reports the wrong sign
+    real = theorems.certified_sign
+    monkeypatch.setattr(theorems, "certified_sign", lambda x, y: -real(x, y))
+    with pytest.raises(RuntimeError):
+        tail_certificate(theorems.TAIL_START)
+    assert main(["theorem", "--which", "4"]) == 1
+    assert "tail: m >= 35 NOT certified" in capsys.readouterr().out
 
 
 def test_tail_certificate_rejects_search_territory():
