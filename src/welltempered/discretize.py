@@ -3,13 +3,15 @@
 The map sends each mold element mu_i to round(m * mu_i), where round floors
 when the fractional part is below the threshold alpha and takes the ceiling
 otherwise.  Because mold steps eventually drop below 1/m, the image is
-cofinite: a truncation certificate pins down a prefix index N and a
-conductor C so that everything at or beyond C is guaranteed present no
-matter which alpha is used.  Sweeping alpha over (0, 1] produces finitely
-many distinct images, one per gap between fractional parts; the sweep
-enumerates them exactly, with alpha = 0 (pure ceiling) kept as a
-distinguished extra interval.  Image sets are stored eagerly; index maps
-are built only when something reads them.
+cofinite: the mold's spacing index N proves every scaled step from N on is
+below 1, so the set is fixed by the indices up to N, and everything at or
+beyond the conductor ceil(m * mu_N) is present whatever alpha is used.
+Sweeping alpha over (0, 1] produces finitely many distinct images, one per
+gap between fractional parts; the sweep enumerates them exactly, with
+alpha = 0 (pure ceiling) kept as a distinguished extra interval.  Image
+sets rest on the spacing proof and the scaled prefix alone; the walk to
+the horizon, which re-checks the steps past N exactly, and the index maps
+are computed only when something reads them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .exactnum import (
     _round,
     _split,
     certified_sign,
-    exact_ceil,
     exact_floor,
     scale,
 )
@@ -41,16 +42,17 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class TruncationCertificate:
-    """Finite evidence that a discretized mold is cofinite in the integers.
+    """Evidence that a discretized mold is cofinite in the integers.
 
-    prefix_end is the certified index N: from N on, every scaled step
-    m * (mu_(i+1) - mu_i) is strictly below 1, so discretized neighbours
-    differ by at most 1 and no integer past the image of mu_N can be
-    skipped, whatever the rounding threshold.  conductor is ceil(m * mu_N),
-    an alpha-independent bound; per-threshold conductors found later can
-    only be smaller.  horizon is the last index the step inequality was
-    checked at exactly (chosen so downstream consumers see the discretized
-    run reach conductor + 2m).
+    prefix_end is the mold's spacing index N, whose spacing_index proof
+    covers every i >= N: the scaled step m * (mu_(i+1) - mu_i) is strictly
+    below 1, so discretized neighbours differ by at most 1 and no integer
+    past the image of mu_N can be skipped, whatever the rounding threshold.
+    conductor is ceil(m * mu_N), an alpha-independent bound; per-threshold
+    conductors found later can only be smaller.  horizon is the last index
+    of a finite exact re-check of the step inequality (chosen so consumers
+    of index maps see the discretized run reach conductor + 2m).  Sweeps
+    and discretizations build it on first read of a horizon.
     """
 
     mold_name: str
@@ -63,19 +65,28 @@ class TruncationCertificate:
 
 @dataclass(frozen=True)
 class _PrefixTables:
-    """One certified (mold, m), split for rounding at any threshold.
+    """One (mold, m) split for rounding at any threshold.
 
     floors[i] and fracs[i] are the floor and fractional part of m * mu_i
     for i <= prefix_end; fracs[i] is None when m * mu_i is an integer.
-    Only these prefix-length tables are kept: the scaled elements up to the
-    horizon are dropped once certified, and indices past the prefix end are
-    rounded from the mold when an index map needs them.
+    These tables fix every image set, by the spacing proof of prefix_end;
+    only the first certified step is checked here.  Indices past the prefix
+    end are rounded from the mold when an index map needs them, and cert,
+    the walk to the horizon, runs on first read and is shared by every
+    discretization built from these tables.
     """
 
     mold: Mold
-    cert: TruncationCertificate
+    multiplicity: int
+    prefix_end: int
+    witness: str
+    conductor: int
     floors: tuple
     fracs: tuple
+
+    @cached_property
+    def cert(self) -> TruncationCertificate:
+        return _certificate_with_values(self)
 
 
 def _key_of(members: list) -> tuple:
@@ -101,24 +112,29 @@ class Discretization:
     """One discretized image: its cofinite shape, with the index map on demand.
 
     prefix holds the members below the (minimal) conductor; every integer
-    at or beyond the conductor is a member.  values[i] = round(m * mu_i)
-    for 0 <= i <= horizon.  The indices up to prefix_end, which fix the
-    set, are rounded when the discretization is made; the rest of values is
-    rounded from the mold on first access, and iter_values() goes on past
-    the horizon without storing anything.  The index map is kept because
-    collapse detection needs to know which mold indices landed on the same
-    integer, not just the resulting set.
+    at or beyond the conductor is a member.  The set rests on the spacing
+    proof: the indices up to prefix_end fix it, and they are rounded when
+    the discretization is made.  values[i] = round(m * mu_i) for
+    0 <= i <= horizon; the horizon is computed on first read (of horizon,
+    values or ==), and the rest of values is then rounded from the mold.
+    iter_values() goes on past the prefix without a horizon and without
+    storing anything.  The index map is kept because collapse detection
+    needs to know which mold indices landed on the same integer, not just
+    the resulting set.
     """
 
     mold_name: str
     multiplicity: int
     prefix_end: int
-    horizon: int
     conductor: int
     prefix: tuple
     _alpha: ExactValue = field(repr=False)
     _head: tuple = field(repr=False)
     _tables: _PrefixTables = field(repr=False)
+
+    @property
+    def horizon(self) -> int:
+        return self._tables.cert.horizon
 
     def contains(self, n: int) -> bool:
         return n >= self.conductor or n in self.prefix
@@ -152,51 +168,63 @@ class Discretization:
         return hash((self.mold_name, self.multiplicity, self.conductor, self.prefix))
 
 
-def _certificate_with_values(mold: Mold, m: int):
-    """Build the certificate and the scaled elements up to its prefix end.
+def _check_step(mold: Mold, i: int, current, following) -> None:
+    """Raise unless the scaled step from index i to i + 1 is below 1."""
+    if not following < current + 1:
+        raise SpacingCertificateError(
+            f"mold {mold.name!r}: scaled step at index {i} is not below 1")
 
-    The steps past the prefix end are checked while walking to the horizon;
-    only the prefix's scaled values are kept.
+
+def _certificate_with_values(tables: _PrefixTables) -> TruncationCertificate:
+    """The truncation certificate of the tables' (mold, m), by walking to the horizon.
+
+    Every step from the prefix end to the horizon is checked exactly, a
+    finite re-check of what the spacing index proves for all later steps;
+    no scaled value is kept.
+    """
+    mold, m, prefix_end = tables.mold, tables.multiplicity, tables.prefix_end
+    current = scale(mold.element(prefix_end), m)
+    target = tables.conductor + 2 * m + 2
+    horizon = prefix_end
+    while exact_floor(current) < target:
+        following = scale(mold.element(horizon + 1), m)
+        _check_step(mold, horizon, current, following)
+        horizon += 1
+        current = following
+    detail = f"{tables.witness}; m*step < 1 checked exactly for indices {prefix_end}..{horizon}"
+    return TruncationCertificate(mold.name, m, prefix_end, tables.conductor, horizon, detail)
+
+
+def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
+    """Split m * mu_i for i <= prefix_end, after checking the step at prefix_end.
+
+    That one exact check, the walk's first step with the walk's error,
+    reads element prefix_end + 1 and no further.  A bad step further on is
+    caught when the walk runs.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
-    prefix = [scale(mold.element(i), m) for i in range(prefix_end + 1)]
-    current = prefix[-1]
-    conductor = exact_ceil(current)
-    target = conductor + 2 * m + 2
-    horizon = prefix_end
-    while exact_floor(current) < target:
-        following = scale(mold.element(horizon + 1), m)
-        if not following < current + 1:
-            raise SpacingCertificateError(
-                f"mold {mold.name!r}: scaled step at index {horizon} is not below 1"
-            )
-        horizon += 1
-        current = following
-    detail = f"{witness}; m*step < 1 checked exactly for indices {prefix_end}..{horizon}"
-    cert = TruncationCertificate(mold.name, m, prefix_end, conductor, horizon, detail)
-    return cert, prefix
-
-
-def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
-    cert, prefix = _certificate_with_values(mold, m)
-    floors, fracs = zip(*map(_split, prefix))
-    return _PrefixTables(mold, cert, floors, fracs)
+    scaled = [scale(mold.element(i), m) for i in range(prefix_end + 2)]
+    _check_step(mold, prefix_end, scaled[-2], scaled[-1])
+    floors, fracs = zip(*map(_split, scaled[:-1]))
+    conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
+    return _PrefixTables(mold, m, prefix_end, witness, conductor, floors, fracs)
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
-    """Certify prefix_end and conductor for discretizing mold at multiplicity m."""
-    cert, _ = _certificate_with_values(mold, m)
-    return cert
+    """Certify prefix_end and conductor for discretizing mold at multiplicity m.
+
+    Eager: the walk to the horizon runs before this returns.
+    """
+    return _prefix_tables(mold, m).cert
 
 
 def _discretize_at(tables: _PrefixTables, alpha) -> Discretization:
     """The image at threshold alpha, which may be any exact value."""
     head = tuple(_round(fl, frac, alpha) for fl, frac in zip(tables.floors, tables.fracs))
     prefix, conductor = _key_of(sorted(set(head)))
-    cert = tables.cert
-    return Discretization(cert.mold_name, cert.multiplicity, cert.prefix_end, cert.horizon,
+    return Discretization(tables.mold.name, tables.multiplicity, tables.prefix_end,
                           conductor, prefix, alpha, head, tables)
 
 
@@ -249,7 +277,7 @@ class AlphaInterval:
 
 def _rediscretize(interval: AlphaInterval, alpha: Rational) -> Discretization:
     """discretize() of the interval's mold and multiplicity at another
-    threshold, reusing the certificate and tables of the interval's sweep."""
+    threshold, reusing the prefix tables of the interval's sweep."""
     return _discretize_at(interval._tables, alpha)
 
 
@@ -281,8 +309,11 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     elements up to the certified prefix end; the image set is constant
     between consecutive breakpoints and changes exactly when alpha crosses
     one.  Fractional parts occurring only beyond the prefix end move
-    individual index values but never the set, so they contribute no
-    interval; representatives still account for them at alpha = upper.
+    individual index values but never the set, by the spacing proof of the
+    prefix end, so they contribute no interval and the sweep reads no
+    element past prefix_end + 1; representatives still account for them
+    at alpha = upper.  The horizon is computed on first read, once for the
+    whole sweep.
 
     One pass over the sorted breakpoints, starting from pure ceiling: a
     crossing moves each index of its group from its ceiling to its floor,

@@ -549,27 +549,43 @@ def _poly_mul(p: tuple, q: tuple) -> tuple:
     return tuple(out)
 
 
+def _poly_eval(poly: tuple, x):
+    """poly(x) by Horner's rule, for a little-endian coefficient tuple."""
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+# The closure constraint's three case polynomials with their integer
+# factors; coefficient tuples are little-endian: (c0, c1, c2, ...)
+_CASE_FACTS = (
+    ((1, -2, 0, 1), ((-1, 1, 1), (-1, 1))),  # p^3 - 2p + 1 = (p^2 + p - 1)(p - 1)
+    ((1, -2, 1), ((-1, 1), (-1, 1))),  # p^2 - 2p + 1 = (p - 1)^2
+    ((-1, 2, -2, 1), ((1, -1, 1), (-1, 1))),  # p^3 - 2p^2 + 2p - 1 = (p^2 - p + 1)(p - 1)
+)
+
+
 def uniqueness_certificate() -> UniquenessCertificate:
-    # coefficient tuples are little-endian: (c0, c1, c2, ...)
-    quad = (-1, 1, 1)  # p^2 + p - 1
-    cubic_a = (1, -2, 0, 1)  # p^3 - 2p + 1
-    cubic_b = (1, -2, 1)  # p^2 - 2p + 1
-    cubic_c = (-1, 2, -2, 1)  # p^3 - 2p^2 + 2p - 1
-    linear = (-1, 1)  # p - 1
-    no_real = (1, -1, 1)  # p^2 - p + 1, negative discriminant
-    facts = (
-        (cubic_a, (quad, linear)),
-        (cubic_b, (linear, linear)),
-        (cubic_c, (no_real, linear)),
-    )
+    """Check the case factorizations, and the roots of each factor, exactly.
+
+    Every verdict is evaluated from the coefficients in _CASE_FACTS; the
+    case polynomials themselves are typed in, not derived from the period
+    construction.
+    """
+    facts = _CASE_FACTS
     verified = all(_poly_mul(f1, f2) == cubic for cubic, (f1, f2) in facts)
-    tau_quad = TAU * TAU + TAU - 1 == 0
+    (_, (quad, _)), _, (_, (no_real, _)) = facts
+    tau_quad = _poly_eval(quad, TAU) == 0
     tau_interval = certified_sign(TAU, Fraction(1, 2)) > 0 and certified_sign(TAU, 1) < 0
-    # the quadratic is strictly increasing on (1/2, 1) and changes sign there;
-    # (p-1)^2 and p^2 - p + 1 have no root in the open interval
-    quad_signs = (Fraction(-1, 4) < 0) and (Fraction(1) > 0)
-    disc_negative = (-1) ** 2 - 4 * 1 * 1 < 0
-    other = quad_signs and disc_negative
+    # a quadratic that changes sign on (1/2, 1) has exactly one root there
+    quad_signs = len(quad) == 3 and _poly_eval(quad, Fraction(1, 2)) < 0 < _poly_eval(quad, 1)
+    # every linear factor vanishes at the endpoint 1, outside the open interval
+    linear_at_one = all(_poly_eval(f, 1) == 0 for _, factors in facts for f in factors
+                        if len(f) == 2)
+    c0, c1, c2 = no_real
+    disc_negative = c1 * c1 - 4 * c0 * c2 < 0
+    other = quad_signs and linear_at_one and disc_negative
     return UniquenessCertificate(
         root=TAU,
         root_satisfies_quadratic=tau_quad,
@@ -602,8 +618,9 @@ def period_uniqueness_scan(grid_step: Fraction, prefix: int,
     cannot reject the degenerate endpoints), and every pairwise sum inside
     the generated range within `tolerance` of an element.  The default
     tolerance is the grid step.  p = 1/2 is excluded: its period generates
-    the perfect halving mold, which really is closed.  The exact certificate
-    pins the unique surviving proportion, tau, independently of the sieve.
+    the perfect halving mold, which really is closed.  The scan is a
+    tolerance sieve, not a proof: the exact certificate, which evaluates its
+    case polynomials, pins the unique surviving proportion, tau.
     """
     grid_step = Fraction(grid_step)
     if not 0 < grid_step < Fraction(1, 10):

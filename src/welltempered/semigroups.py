@@ -128,8 +128,7 @@ class CollapseRecord:
 def collapse(d: Discretization) -> CollapseRecord:
     """First repeated value of the discretization's index map.
 
-    The map is followed past the stored horizon in the rare case the
-    certified range shows no repeat yet.
+    The map is streamed from the mold, so no horizon is computed.
     """
     previous = None
     for i, value in enumerate(d.iter_values()):

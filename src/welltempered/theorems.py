@@ -174,7 +174,9 @@ def _midpoint_recheck(region: AlphaInterval, key: tuple[tuple[int, ...], int]) -
 _SEARCH_MOLDS = (metric_mold(), golden_fractal_mold())
 
 
-@lru_cache(maxsize=None)
+# Bounded, but large enough for one census up to the CLI's bound (34), so
+# a second census in the same process reads every m from the cache.
+@lru_cache(maxsize=64)
 def _search(m: int) -> tuple[SimultaneousMatch, ...]:
     lmold, fmold = _SEARCH_MOLDS
     regions_l = _merged_regions(lmold, m)

@@ -152,6 +152,16 @@ def test_certificate_checks_every_step_up_to_the_horizon():
         truncation_certificate(_ShortSpacingMold(), 12)
 
 
+def test_sweep_and_discretize_check_the_first_certified_step():
+    # neither walks to the horizon, but both still reject a spacing index
+    # that undershoots, with the walk's error
+    message = r"^mold 'short': scaled step at index 13 is not below 1$"
+    with pytest.raises(SpacingCertificateError, match=message):
+        alpha_sweep(_ShortSpacingMold(), 12)
+    with pytest.raises(SpacingCertificateError, match=message):
+        discretize(_ShortSpacingMold(), 12, Fraction(1, 2))
+
+
 def test_discretization_membership_helpers():
     d = discretize(F, 12, 1)
     assert d.contains(0) and d.contains(43) and d.contains(100)
@@ -340,6 +350,38 @@ def test_every_interval_matches_direct_discretization(mold, ms):
             assert list(rep.values) == _floor_rule(splits, iv.upper)
         assert sweep[0].representative == discretize(mold, m, 0)
         assert sweep[-1].representative == discretize(mold, m, 1)
+
+
+def _record_reads(mold) -> list:
+    """Record every index the mold's element() is asked for."""
+    read = []
+    element = mold.element
+
+    def recorded(i):
+        read.append(i)
+        return element(i)
+
+    mold.element = recorded
+    return read
+
+
+@pytest.mark.parametrize("make, m", [(golden_fractal_mold, 200), (metric_mold, 400)],
+                         ids=["F200", "L400"])
+def test_sweep_reads_only_the_certified_prefix(make, m):
+    mold = make()
+    read = _record_reads(mold)
+    sweep = alpha_sweep(mold, m)
+    prefix_end = mold.spacing_index(m)[0]
+    assert max(read) == prefix_end + 1  # the prefix and the first certified step
+    cert = truncation_certificate(make(), m)
+    first, last = sweep[0].representative, sweep[-1].representative
+    assert first.horizon == cert.horizon
+    walked = len(read)
+    assert last.horizon == cert.horizon and len(read) == walked  # one walk per sweep
+    scaled = [_scaled_element(mold, m, i) for i in range(cert.horizon + 1)]
+    splits = [(exact_floor(s), None if exact_is_integer(s) else exact_frac(s)) for s in scaled]
+    for iv, rep in ((sweep[0], first), (sweep[-1], last)):
+        assert list(rep.values) == _floor_rule(splits, iv.upper)
 
 
 def test_equal_fractional_parts_flip_in_one_crossing():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from welltempered import molds
 from welltempered.exactnum import TAU, GoldenNumber, LogValue
 from welltempered.molds import (
     ExplicitMold,
@@ -338,6 +339,21 @@ def test_uniqueness_certificate_is_exact():
     assert cert.factorizations_verified
     assert cert.alternative_roots_excluded
     assert len(cert.factorizations) == 3
+
+
+@pytest.mark.parametrize("case, factor", [(0, (1, -3, 1)), (0, (1, 1, 1)), (2, (1, -3, 1)),
+                                          (1, (-3, 4))],
+                         ids=["quad-no-root", "quad-positive", "no_real-real", "linear-inside"])
+def test_uniqueness_certificate_evaluates_its_polynomials(monkeypatch, case, factor):
+    # one factor's coefficients changed, with the product recomputed so the
+    # factorizations still verify: the root exclusion must notice
+    facts = list(molds._CASE_FACTS)
+    _, (_, other) = facts[case]
+    facts[case] = (molds._poly_mul(factor, other), (factor, other))
+    monkeypatch.setattr(molds, "_CASE_FACTS", tuple(facts))
+    cert = uniqueness_certificate()
+    assert cert.factorizations_verified
+    assert not cert.alternative_roots_excluded
 
 
 def test_period_uniqueness_scan_coarse_grid():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from welltempered import theorems
-from welltempered.cli import main
+from welltempered.cli import SEARCH_BOUND, main
 from welltempered.discretize import discretize
 from welltempered.exactnum import GoldenNumber, LogValue
 from welltempered.molds import golden_fractal_mold, metric_mold
@@ -218,3 +218,11 @@ def test_searches_agree_with_direct_discretization():
         df = from_discretization(discretize(F, m, ref.alpha_F))
         assert dl == df
         assert tuple(dl.elements_below(ref.prefix[-1] + 1)) == ref.prefix
+
+
+def test_search_cache_is_bounded_above_the_cli_census():
+    assert SEARCH_BOUND <= theorems._search.cache_info().maxsize < 1000
+    multiplicity_census(SEARCH_BOUND)  # theorem --which 4, then --which 5
+    misses = theorems._search.cache_info().misses
+    even_filterable_census(SEARCH_BOUND)
+    assert theorems._search.cache_info().misses == misses
