@@ -55,6 +55,12 @@ from .theorems import (
 
 SEARCH_BOUND = 34
 
+# inclusive ranges of the integer flags, checked at parse time (exit 2);
+# past the --m and --count ranges a command would run for minutes
+_M_RANGE = range(1, 2001)
+_COUNT_RANGE = range(1, 10001)
+_PLACES_RANGE = range(0, 13)  # --precision and --depth
+
 
 @dataclass(frozen=True)
 class Result:
@@ -161,8 +167,6 @@ def _mold_label(args) -> str:
 
 
 def _cmd_mold_show(args, parser) -> Result:
-    if args.count < 1:
-        parser.error("--count must be at least 1")
     mold = _pick_mold(args, parser)
     return _listing("mu_i", {"mold": _mold_label(args), "count": args.count},
                     "elements",
@@ -170,10 +174,6 @@ def _cmd_mold_show(args, parser) -> Result:
 
 
 def _cmd_table(args, parser) -> Result:
-    if args.m < 1:
-        parser.error("--m must be at least 1")
-    if args.count < 1:
-        parser.error("--count must be at least 1")
     if args.m not in (9, 11, 12, 13, 18):
         print(f"note: no reference table covers m={args.m}; "
               f"emitting computed values", file=sys.stderr)
@@ -200,16 +200,9 @@ def _parse_alpha(text: str, parser) -> Fraction:
 
 
 def _cmd_discretize(args, parser) -> Result:
-    if args.m < 1:
-        parser.error("--m must be at least 1")
     mold = _pick_mold(args, parser)
     alpha = _parse_alpha(args.alpha, parser)
-    try:
-        d = discretize(mold, args.m, alpha)
-    except PrecisionBudgetExceeded:
-        raise
-    except ValueError as exc:
-        parser.error(str(exc))
+    d = discretize(mold, args.m, alpha)
     s = from_discretization(d)
     verification = verify_semigroup(d)
     record = collapse(d)
@@ -268,8 +261,6 @@ def _interval_forms(interval, args) -> tuple[str, dict]:
 
 
 def _cmd_search(args, parser) -> Result:
-    if args.m < 1:
-        parser.error("--m must be at least 1")
     matches = simultaneous_search(args.m)
     lines = [f"matches: {len(matches)}"]
     rows = [("index", "interval_L", "interval_F", "conductor", "prefix",
@@ -343,8 +334,6 @@ def _cmd_theorem(args, parser) -> Result:
 
 
 def _cmd_fractal_division(args, parser) -> Result:
-    if not 0 <= args.depth <= 12:
-        parser.error("--depth must be between 0 and 12")
     if args.p == "golden":
         spec = golden_period_spec()
         label = "golden"
@@ -365,15 +354,20 @@ def _cmd_fractal_division(args, parser) -> Result:
                     [_render(x, args) for x in points])
 
 
-def _precision(text: str) -> int:
-    """The --precision type: decimal places from 0 to 12, else exit 2."""
-    try:
-        places = int(text)
-    except ValueError:
-        places = -1
-    if not 0 <= places <= 12:
-        raise argparse.ArgumentTypeError("precision must be between 0 and 12")
-    return places
+def _bounded(allowed: range):
+    """An argparse type: an integer in `allowed`, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer between {allowed[0]} and {allowed[-1]}")
+        return n
+
+    return parse
 
 
 def _add_common(sub, precision: bool = False, exact: bool = False) -> None:
@@ -381,7 +375,7 @@ def _add_common(sub, precision: bool = False, exact: bool = False) -> None:
                      default="text", help="output format")
     sub.add_argument("--out", default=None, help="write output to a file")
     if precision:
-        sub.add_argument("--precision", type=_precision, default=4,
+        sub.add_argument("--precision", type=_bounded(_PLACES_RANGE), default=4,
                          help="decimal places for display (rendering only)")
     if exact:
         sub.add_argument("--exact", action="store_true",
@@ -401,14 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
     show.add_argument("--mold", required=True,
                       choices=("L", "F", "Q", "D", "perfect"))
     show.add_argument("--granularity", type=int, default=None)
-    show.add_argument("--count", type=int, default=12)
+    show.add_argument("--count", type=_bounded(_COUNT_RANGE), default=12)
     _add_common(show, precision=True, exact=True)
     show.set_defaults(handler=_cmd_mold_show)
 
     table = commands.add_parser(
         "table", help="two-column table of m*lambda_i and m*phi_i")
-    table.add_argument("--m", type=int, required=True)
-    table.add_argument("--count", type=int, default=51)
+    table.add_argument("--m", type=_bounded(_M_RANGE), required=True)
+    table.add_argument("--count", type=_bounded(_COUNT_RANGE), default=51)
     _add_common(table, precision=True)
     table.set_defaults(handler=_cmd_table)
 
@@ -417,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--mold", required=True,
                       choices=("L", "F", "Q", "D", "perfect"))
     disc.add_argument("--granularity", type=int, default=None)
-    disc.add_argument("--m", type=int, required=True)
+    disc.add_argument("--m", type=_bounded(_M_RANGE), required=True)
     disc.add_argument("--alpha", required=True,
                       help="rounding threshold in [0, 1], decimal or fraction")
     _add_common(disc)
@@ -425,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search = commands.add_parser(
         "search", help="simultaneous matches of the metric and golden molds")
-    search.add_argument("--m", type=int, required=True)
+    search.add_argument("--m", type=_bounded(_M_RANGE), required=True)
     _add_common(search, precision=True, exact=True)
     search.set_defaults(handler=_cmd_search)
 
@@ -439,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fractal-division", help="cut points of repeated interval subdivision")
     division.add_argument("--p", required=True,
                           help='cut proportion: a rational or "golden"')
-    division.add_argument("--depth", type=int, required=True)
+    division.add_argument("--depth", type=_bounded(_PLACES_RANGE), required=True)
     _add_common(division, precision=True, exact=True)
     division.set_defaults(handler=_cmd_fractal_division)
 

@@ -27,6 +27,7 @@ from .exactnum import (
     ExactValue,
     GoldenNumber,
     Rational,
+    _check_alpha,
     _floor_int_tau,
     _round,
     _split,
@@ -234,10 +235,7 @@ def discretize(mold: Mold, m: int, alpha) -> Discretization:
     alpha must be an exact rational in [0, 1].  An AlphaInterval from
     alpha_sweep already holds its image: read its representative instead.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
-        raise TypeError("alpha must be an exact rational")
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     return _discretize_at(_prefix_tables(mold, m), alpha)
 
 

@@ -226,9 +226,6 @@ class GoldenNumber:
     def is_integer(self) -> bool:
         return self._b == 0 and (isinstance(self._a, int))
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
     def floor(self) -> int:
         a, b = self._a, self._b
         if b == 0:
@@ -542,6 +539,14 @@ def _round(floor: int, frac, alpha) -> int:
     return floor + 1
 
 
+def _check_alpha(alpha) -> None:
+    """Raise unless alpha is an exact rational threshold in [0, 1]."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise TypeError("alpha must be an exact rational")
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
+
+
 def floor_alpha(x: ExactValue, alpha: Rational) -> int:
     """Rounding with threshold: floor(x) if frac(x) < alpha, else ceiling(x).
 
@@ -550,10 +555,7 @@ def floor_alpha(x: ExactValue, alpha: Rational) -> int:
     is pure ceiling and alpha = 1 pure flooring.  Integers are fixed points
     for every alpha.
     """
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
-        raise TypeError("alpha must be an exact rational")
-    if not (0 <= alpha <= 1):
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     return _round(*_split(x), alpha)
 
 

@@ -337,20 +337,34 @@ def mold_d() -> GridMold:
     return GridMold(10, 10, "D", "perfect-fractal(10)")
 
 
-def _closure_check(values: list, prefix_bound: int, prop: str) -> PropertyReport:
+def _pair_sums(values: list, limit, step: int = 1):
+    """(i, j, values[i] + values[j]) for i <= j on every step-th index.
+
+    values must be increasing.  Pairs come in lexicographic order while the
+    sum is at most limit: a row ends at its first larger sum, and the scan
+    ends at the first i with 2 * values[i] > limit.  This is the one pair
+    loop behind closure, semigroup and even-index checks.
+    """
+    n = len(values)
+    for i in range(0, n, step):
+        vi = values[i]
+        for j in range(i, n, step):
+            s = vi + values[j]
+            if limit < s:
+                if j == i:
+                    return
+                break
+            yield i, j, s
+
+
+def _closure_check(values: list, prop: str) -> PropertyReport:
     """Closure of the value list under addition, for sums inside the range."""
     index_of = {v: k for k, v in enumerate(values)}
-    top = values[-1]
-    for i in range(prefix_bound):
-        vi = values[i]
-        for j in range(i, prefix_bound):
-            s = vi + values[j]
-            if top < s:
-                break
-            if s not in index_of:
-                return PropertyReport(prop, "fails", prefix_bound, (i, j),
-                                      f"mu_{i} + mu_{j} = {s} is not an element")
-    return PropertyReport(prop, "holds-on-prefix", prefix_bound)
+    for i, j, s in _pair_sums(values, values[-1]):
+        if s not in index_of:
+            return PropertyReport(prop, "fails", len(values), (i, j),
+                                  f"mu_{i} + mu_{j} = {s} is not an element")
+    return PropertyReport(prop, "holds-on-prefix", len(values))
 
 
 def check_mold_axioms(mold: Mold, count: int,
@@ -375,7 +389,7 @@ def check_mold_axioms(mold: Mold, count: int,
             if i + 1 < count and not _gap_strictly_below(values[i], values[i + 1], gap_epsilon):
                 return PropertyReport("mold-axioms", "fails", count, (i, i + 1),
                                       f"gap at index {i} is not below {gap_epsilon}")
-    return _closure_check(values, count, "mold-axioms")
+    return _closure_check(values, "mold-axioms")
 
 
 def _gap_strictly_below(a, b, eps: Fraction) -> bool:
@@ -406,7 +420,7 @@ def generic_fractal_mold(period: PeriodSpec, count: int) -> tuple[list, Property
         ell += 1
     total = mold.start_index(ell + 1)
     values = mold.elements(total)
-    report = _closure_check(values, total, "fractal")
+    report = _closure_check(values, "fractal")
     return values, report
 
 
@@ -433,30 +447,29 @@ def check_even_filterable_mold(mold: Mold, bound: int) -> PropertyReport:
     """
     values = mold.elements(bound + 1)
     index_of = {v: k for k, v in enumerate(values)}
-    top = values[-1]
-    for i in range(0, bound + 1, 2):
-        vi = values[i]
-        for j in range(i, bound + 1, 2):
-            s = vi + values[j]
-            if top < s:
-                break
-            k = index_of.get(s)
-            if k is None:
-                return PropertyReport("even-filterable", "fails", bound, (i, j),
-                                      f"mu_{i} + mu_{j} = {s} is not an element")
-            if k % 2 == 1:
-                return PropertyReport("even-filterable", "fails", bound, (i, j),
-                                      f"mu_{i} + mu_{j} = mu_{k} has odd index {k}")
+    for i, j, s in _pair_sums(values, values[-1], step=2):
+        k = index_of.get(s)
+        if k is None:
+            return PropertyReport("even-filterable", "fails", bound, (i, j),
+                                  f"mu_{i} + mu_{j} = {s} is not an element")
+        if k % 2 == 1:
+            return PropertyReport("even-filterable", "fails", bound, (i, j),
+                                  f"mu_{i} + mu_{j} = mu_{k} has odd index {k}")
     return PropertyReport("even-filterable", "holds-on-prefix", bound)
 
 
-def check_fractal(mold: Mold, periods: int, gap: Fraction = Fraction(1, 10 ** 9)) -> PropertyReport:
+# enclosure width below which check_fractal lets a log-valued element pass
+_FRACTAL_GAP = Fraction(1, 10 ** 9)
+
+
+def check_fractal(mold: Mold, periods: int) -> PropertyReport:
     """Does the mold's subdivision structure reproduce itself?
 
     Period k+1 must equal period k refined at the first-period proportions.
     Rational and golden elements are compared exactly; log values have no
     exact differences or products, so those go through certified enclosures:
-    a proven separation fails, agreement within `gap` passes on this prefix.
+    a proven separation fails, agreement within _FRACTAL_GAP passes on this
+    prefix.
     """
     values = []
     i = 0
@@ -489,7 +502,7 @@ def check_fractal(mold: Mold, periods: int, gap: Fraction = Fraction(1, 10 ** 9)
                 if exact:
                     match = actual[pos] == left + o * (right - left)
                 else:
-                    match = _certified_subdivision_match(actual[pos], left, o, right, gap)
+                    match = _certified_subdivision_match(actual[pos], left, o, right)
                 if match is False:
                     return PropertyReport(
                         "fractal", "fails", bound, (k + 1, pos),
@@ -498,11 +511,11 @@ def check_fractal(mold: Mold, periods: int, gap: Fraction = Fraction(1, 10 ** 9)
     return PropertyReport("fractal", "holds-on-prefix", bound)
 
 
-def _certified_subdivision_match(actual, left, o, right, gap: Fraction) -> Optional[bool]:
+def _certified_subdivision_match(actual, left, o, right) -> Optional[bool]:
     """Compare actual against left + o*(right - left) through enclosures.
 
     True is never returned: enclosures only ever prove separation (False)
-    or leave the pair indistinguishable at width `gap` (None).
+    or leave the pair indistinguishable at width _FRACTAL_GAP (None).
     """
 
     def indistinguishable(a, x, o, y):
@@ -512,7 +525,7 @@ def _certified_subdivision_match(actual, left, o, right, gap: Fraction) -> Optio
         hi_pred = x.upper + prod[1]
         if a.upper < lo_pred or hi_pred < a.lower:
             return False
-        if (hi_pred - lo_pred) < gap and a.width < gap:
+        if (hi_pred - lo_pred) < _FRACTAL_GAP and a.width < _FRACTAL_GAP:
             return True
         return None
 
@@ -607,17 +620,16 @@ class ScanResult:
     certificate: UniquenessCertificate
 
 
-def period_uniqueness_scan(grid_step: Fraction, prefix: int,
-                           tolerance: Optional[Fraction] = None) -> ScanResult:
+def period_uniqueness_scan(grid_step: Fraction, prefix: int) -> ScanResult:
     """Scan granularity-2 periods {1, 1+p} for p on a rational grid in (0,1), p != 1/2.
 
     Each grid point generates its first `prefix` elements and must pass both
-    mold axioms at tolerance resolution: consecutive elements separated by
-    more than `tolerance` (as p nears 0 or 1 the sequence collapses toward
-    the integers and every sum lands near an element, so closure alone
-    cannot reject the degenerate endpoints), and every pairwise sum inside
-    the generated range within `tolerance` of an element.  The default
-    tolerance is the grid step.  p = 1/2 is excluded: its period generates
+    mold axioms at tolerance resolution, the tolerance being the grid step:
+    consecutive elements separated by more than the tolerance (as p nears 0
+    or 1 the sequence collapses toward the integers and every sum lands
+    near an element, so closure alone cannot reject the degenerate
+    endpoints), and every pairwise sum inside the generated range within
+    the tolerance of an element.  p = 1/2 is excluded: its period generates
     the perfect halving mold, which really is closed.  The scan is a
     tolerance sieve, not a proof: the exact certificate, which evaluates its
     case polynomials, pins the unique surviving proportion, tau.
@@ -627,7 +639,6 @@ def period_uniqueness_scan(grid_step: Fraction, prefix: int,
         raise ValueError("grid step must lie in (0, 0.1)")
     if prefix < 8:
         raise ValueError("prefix must be at least 8")
-    tol = Fraction(tolerance) if tolerance is not None else grid_step
     half = Fraction(1, 2)
     survivors = []
     violations = []
@@ -639,34 +650,28 @@ def period_uniqueness_scan(grid_step: Fraction, prefix: int,
         if p == half:
             continue
         values = FractalMold(PeriodSpec([Fraction(1), 1 + p])).elements(prefix)
-        if any(b - a <= tol for a, b in zip(values, values[1:])):
+        if any(b - a <= grid_step for a, b in zip(values, values[1:])):
             degenerate.append(p)
             continue
         worst = _worst_closure_violation(values)
-        if worst <= tol:
+        if worst <= grid_step:
             survivors.append(p)
             violations.append((p, worst))
-    return ScanResult(grid_step, prefix, tol, tuple(survivors), tuple(violations),
+    return ScanResult(grid_step, prefix, grid_step, tuple(survivors), tuple(violations),
                       tuple(degenerate), uniqueness_certificate())
 
 
 def _worst_closure_violation(values: list) -> Fraction:
     present = set(values)
-    top = values[-1]
     n = len(values)
     worst = Fraction(0)
-    for i in range(n):
-        vi = values[i]
-        for j in range(i, n):
-            s = vi + values[j]
-            if top < s:
-                break
-            if s in present:
-                continue
-            pos = bisect.bisect_left(values, s)
-            dist = s - values[pos - 1]
-            if pos < n and values[pos] - s < dist:
-                dist = values[pos] - s
-            if dist > worst:
-                worst = dist
+    for _, _, s in _pair_sums(values, values[-1]):
+        if s in present:
+            continue
+        pos = bisect.bisect_left(values, s)
+        dist = s - values[pos - 1]
+        if pos < n and values[pos] - s < dist:
+            dist = values[pos] - s
+        if dist > worst:
+            worst = dist
     return worst

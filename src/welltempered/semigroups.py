@@ -16,8 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .discretize import Discretization
-from .molds import PropertyReport
+from .discretize import Discretization, _key_of
+from .molds import PropertyReport, _pair_sums
 
 
 @dataclass(frozen=True)
@@ -72,40 +72,33 @@ def numerical_semigroup(elements, conductor: int) -> NumericalSemigroup:
             members.add(e)
     if conductor > 0 and 0 not in members:
         raise ValueError("0 must be a member")
-    c = conductor
-    while c - 1 in members:
-        c -= 1
-    return NumericalSemigroup(tuple(sorted(e for e in members if e < c)), c)
+    return NumericalSemigroup(*_key_of(sorted(members) + [conductor]))
 
 
 def from_discretization(d: Discretization) -> NumericalSemigroup:
-    return numerical_semigroup(d.prefix, d.conductor)
+    """The image set of a discretization, whose key is already canonical."""
+    return NumericalSemigroup(d.prefix, d.conductor)
 
 
 def verify_semigroup(candidate) -> PropertyReport:
-    """Closure check; witness is the smallest violating pair if any.
+    """Closure check; witness is the smallest violating pair (a, b) if any.
 
-    Accepts a NumericalSemigroup or a Discretization. Pairs a <= b with
-    a + b < conductor + largest prefix member are covered; sums at or
-    beyond the conductor are members outright, so the margin above the
-    conductor cannot hide a violation.
+    Accepts a NumericalSemigroup or a Discretization. The pair scan covers
+    every pair of nonzero prefix members a <= b with a + b below the
+    conductor; sums at or beyond the conductor are members outright, so
+    no pair reaching past the conductor can be a violation. The reported
+    bound is conductor + largest prefix member.
     """
     prefix, conductor = tuple(candidate.prefix), candidate.conductor
     members = set(prefix)
-    s_max = prefix[-1] if prefix else 0
-    bound = conductor + s_max
+    bound = conductor + (prefix[-1] if prefix else 0)
     nonzero = [e for e in prefix if e > 0]
-    for a in nonzero:
-        if a + a >= conductor:
-            break
-        for b in nonzero[bisect_left(nonzero, a):]:
-            s = a + b
-            if s >= conductor:
-                break
-            if s not in members:
-                return PropertyReport(
-                    "semigroup-closure", "fails", bound, (a, b),
-                    f"{a} + {b} = {s} is not a member")
+    for i, j, s in _pair_sums(nonzero, conductor - 1):
+        if s not in members:
+            a, b = nonzero[i], nonzero[j]
+            return PropertyReport(
+                "semigroup-closure", "fails", bound, (a, b),
+                f"{a} + {b} = {s} is not a member")
     return PropertyReport("semigroup-closure", "holds-on-prefix", bound, None,
                           f"all pairwise sums below {bound} are members")
 
@@ -146,25 +139,16 @@ def even_filterable_semigroup(d: Discretization) -> PropertyReport:
     """
     s = from_discretization(d)
     kappa = collapse(d).kappa
-    even = []
-    i = 0
-    while s.element(2 * i) < kappa:  # pairs beyond this cannot sum below kappa
-        even.append(2 * i)
-        i += 1
     identities = []
-    for pos, i in enumerate(even):
-        for j in even[pos:]:
-            total = s.element(i) + s.element(j)
-            if total >= kappa:
-                continue
-            k = s.index_of(total)
-            if k is None or k % 2 == 1:
-                where = "not a member" if k is None else f"s_{k} with odd index"
-                return PropertyReport(
-                    "even-filterable-semigroup", "fails", kappa, (i, j),
-                    f"s_{i} + s_{j} = {total} is {where} below collapse {kappa}")
-            if i > 0:
-                identities.append(f"s_{i}+s_{j}=s_{k}")
+    for i, j, total in _pair_sums(s.elements_below(kappa), kappa - 1, step=2):
+        k = s.index_of(total)
+        if k is None or k % 2 == 1:
+            where = "not a member" if k is None else f"s_{k} with odd index"
+            return PropertyReport(
+                "even-filterable-semigroup", "fails", kappa, (i, j),
+                f"s_{i} + s_{j} = {total} is {where} below collapse {kappa}")
+        if i > 0:
+            identities.append(f"s_{i}+s_{j}=s_{k}")
     return PropertyReport(
         "even-filterable-semigroup", "holds-on-prefix", kappa, None,
         "; ".join(identities) or "no even-index sums below the collapse")

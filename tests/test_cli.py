@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -313,3 +314,21 @@ def test_csv_quotes_a_field_with_a_comma(capsys, monkeypatch):
     assert code == 1
     rows = list(csv.reader(out.splitlines()))
     assert ["error", "constraint replay failed: a, b"] in rows
+
+
+def test_integer_flags_are_bounded_at_parse_time(capsys):
+    # without a bound, each of these runs for minutes
+    for argv in (["search", "--m", "100000"],
+                 ["discretize", "--mold", "L", "--m", "1000000", "--alpha", "1/2"],
+                 ["table", "--m", "12", "--count", "3000000"],
+                 ["mold", "show", "--mold", "L", "--count", "5000000"]):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().out == ""
+    for argv in (["table", "--m", "2000", "--count", "1"],
+                 ["mold", "show", "--mold", "F", "--count", "10000"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out, argv

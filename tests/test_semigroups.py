@@ -165,6 +165,38 @@ def test_even_filterable_eighteen_fails():
     assert "87" in report.detail and "s_27" in report.detail
 
 
+def _even_filterable_brute_force(d):
+    """(verdict, witness, detail) of the even-index filter, by a plain double loop."""
+    s = from_discretization(d)
+    kappa = collapse(d).kappa
+    below = [n for n in range(kappa) if n in s]
+    identities = []
+    for i in range(0, len(below), 2):
+        for j in range(i, len(below), 2):
+            total = below[i] + below[j]
+            if total >= kappa:
+                continue
+            if total not in s or below.index(total) % 2 == 1:
+                where = ("not a member" if total not in s
+                         else f"s_{below.index(total)} with odd index")
+                return ("fails", (i, j),
+                        f"s_{i} + s_{j} = {total} is {where} below collapse {kappa}")
+            if i > 0:
+                identities.append(f"s_{i}+s_{j}=s_{below.index(total)}")
+    return ("holds-on-prefix", None,
+            "; ".join(identities) or "no even-index sums below the collapse")
+
+
+@pytest.mark.parametrize("mold", [L, F], ids=["L", "F"])
+def test_even_filterable_matches_double_loop(mold):
+    for m in range(1, 14):
+        for iv in alpha_sweep(mold, m):
+            d = iv.representative
+            report = even_filterable_semigroup(d)
+            assert (report.verdict, report.witness, report.detail) == \
+                _even_filterable_brute_force(d), (mold.name, m, iv.upper)
+
+
 def _oracle_closed(ns):
     bound = 2 * ns.conductor + 2
     mask = 0
@@ -200,12 +232,34 @@ def _random_candidate(rng):
     return base, 45
 
 
+def _smallest_violation(ns):
+    """The lexicographically smallest pair a <= b of members whose sum is not one."""
+    nonzero = [e for e in ns.prefix if e > 0]
+    for a in nonzero:
+        for b in nonzero:
+            if a <= b and a + b not in ns:
+                return a, b
+    return None
+
+
+def _minimal_conductor(members, c):
+    return min(n for n in range(c + 1) if all(k in members for k in range(n, c)))
+
+
 def test_verify_matches_bitset_oracle():
     rng = random.Random(551203)
     for _ in range(300):
         members, c = _random_candidate(rng)
         ns = numerical_semigroup(members, c)
-        assert verify_semigroup(ns).holds == _oracle_closed(ns)
+        conductor = _minimal_conductor(members, c)
+        assert ns.conductor == conductor
+        assert ns.prefix == tuple(sorted(e for e in members if e < conductor))
+        report = verify_semigroup(ns)
+        assert report.holds == _oracle_closed(ns)
+        assert report.witness == _smallest_violation(ns)
+        if report.witness is not None:
+            a, b = report.witness
+            assert report.detail == f"{a} + {b} = {a + b} is not a member"
 
 
 def test_genus_complements_member_count():
