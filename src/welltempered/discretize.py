@@ -35,7 +35,7 @@ from .exactnum import (
     exact_floor,
     scale,
 )
-from .molds import Mold, SpacingCertificateError
+from .molds import Mold, SpacingCertificateError, _check_multiplicity
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -203,8 +203,7 @@ def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
     reads element prefix_end + 1 and no further.  A bad step further on is
     caught when the walk runs.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("multiplicity must be a positive integer")
+    _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
     scaled = [scale(mold.element(i), m) for i in range(prefix_end + 2)]
     _check_step(mold, prefix_end, scaled[-2], scaled[-1])

@@ -2,18 +2,18 @@
 
 ``GoldenNumber`` is the ring Z[tau], tau = (sqrt(5) - 1)/2, with a total
 order decided purely by integer sign analysis.  ``LogValue`` is an
-unevaluated m*log2(n) + c, ordered against another log through
-big-integer power comparisons and against a rational through certified
-enclosures.  ``fractions.Fraction`` covers the rational family.  Floats
-never decide anything: certified enclosures are built from integer square
-roots and interval squaring.
+unevaluated m*log2(n) + c, ordered against another log by exact integer
+powers n**m and against a rational through certified enclosures.
+``fractions.Fraction`` covers the rational family.  Floats never decide
+anything: certified enclosures are built from integer square roots and
+interval squaring.
 
 Every certified decision goes through one refinement loop,
 ``certified_decision``: it encloses the values at 64 bits and doubles the
 precision until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096),
 past which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the
 values, the bits reached and the last enclosures.  ``certified_sign``
-orders any two exact values on it, exactly where that is cheap.
+orders any two exact values, and the comparison operators agree with it.
 
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
@@ -213,7 +213,7 @@ class GoldenNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _sign_a_b_tau(self._a - o._a, self._b - o._b) < 0
+        return certified_sign(self, o) < 0
 
     def __hash__(self):
         if self._b == 0:
@@ -311,19 +311,21 @@ def certified_log2(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     return (Fraction(e) + Fraction(y, scale), Fraction(e) + Fraction(y + 1, scale))
 
 
-_FLOOR_CACHE: dict[tuple[int, int], int] = {}
+# largest mult * bit_length(arg) for which arg**mult is built (sums, orders)
+_EXACT_POWER_BITS = 10 ** 6
 
 
+@total_ordering
 class LogValue:
     """Unevaluated m*log2(n) + c with integers m >= 1, n >= 1 and c.
 
     Canonical form keeps n odd (powers of two fold into the offset) and not
     a perfect power (m absorbs the exponent), so equal values share one
     representation and the value is an integer exactly when n == 1.
-    Equality is therefore structural.  Two non-integer logs are ordered by
-    an exact big-integer power comparison; the power arg**mult is kept
-    once computed, and values sharing (mult, arg) share it.  Against a
-    rational the order comes from certified_sign.
+    Equality is therefore structural (an integer-valued log also equals its
+    int, Fraction or GoldenNumber).  Logs are ordered by _log_order, an
+    exact comparison of the powers arg**mult, kept once computed and shared
+    by values of one (mult, arg); rationals by certified_sign.
     """
 
     __slots__ = ("_m", "_n", "_c", "_pow")
@@ -389,7 +391,7 @@ class LogValue:
             if self._m == other._m:
                 return LogValue(self._m, self._n * other._n, self._c + other._c)
             bits = self._m * self._n.bit_length() + other._m * other._n.bit_length()
-            if bits > 10 ** 6:
+            if bits > _EXACT_POWER_BITS:
                 raise ValueError("sum too large to represent exactly")
             return LogValue(1, self._n ** self._m * other._n ** other._m,
                             self._c + other._c)
@@ -419,14 +421,7 @@ class LogValue:
         return power
 
     def floor(self) -> int:
-        if self._n == 1:
-            return self._c
-        key = (self._m, self._n)
-        f = _FLOOR_CACHE.get(key)
-        if f is None:
-            f = self._power().bit_length() - 1
-            _FLOOR_CACHE[key] = f
-        return f + self._c
+        return self._power().bit_length() - 1 + self._c
 
     def ceil(self) -> int:
         return self._c if self._n == 1 else self.floor() + 1
@@ -434,37 +429,20 @@ class LogValue:
     def frac(self) -> LogValue:
         return _log(self._m, self._n, self._c - self.floor(), self._pow)
 
-    def _cmp(self, other) -> int:
-        if type(other) is LogValue and self._n != 1 and other._n != 1:
-            if self._n == other._n and self._m == other._m:
-                return (self._c > other._c) - (self._c < other._c)
-            d = self._c - other._c
-            lhs = self._power() << max(d, 0)
-            rhs = other._power() << max(-d, 0)
-            return (lhs > rhs) - (lhs < rhs)
-        if isinstance(other, bool) or not isinstance(other, (LogValue, int, Fraction)):
-            raise TypeError(f"cannot compare LogValue with {type(other).__name__}")
-        return certified_sign(self, other)
-
     def __eq__(self, other):
-        # canonical forms are unique, and a non-integer log is irrational
+        # canonical forms are unique, and a non-integer log is transcendental
         if isinstance(other, LogValue):
             return (self._m, self._n, self._c) == (other._m, other._n, other._c)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._n == 1 and self._c == other
+        if isinstance(other, (int, Fraction, GoldenNumber)) and not isinstance(other, bool):
+            return self._n == 1 and other == self._c
         return NotImplemented
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        if isinstance(other, LogValue):
+            return _log_order(self, other) < 0
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return certified_sign(self, other) < 0
+        return NotImplemented
 
     def __hash__(self):
         if self._n == 1:
@@ -491,6 +469,30 @@ def _log(mult: int, arg: int, offset: int, power: "int | None" = None) -> LogVal
     v._c = offset
     v._pow = power
     return v
+
+
+def _log_order(x: LogValue, y: LogValue) -> int:
+    """-1, 0 or 1 as the log x is below, equal to, or above the log y.
+
+    x - y = log2(px) - log2(py) + d for the powers px, py and offset gap d;
+    as 0 <= log2(p) < bit_length(p), a gap at least the opposite power's bit
+    length decides alone.  Distinct canonical forms are never equal.  A
+    power not yet cached past _EXACT_POWER_BITS goes to enclosures.
+    """
+    if x._n == y._n and x._m == y._m:
+        return (x._c > y._c) - (x._c < y._c)
+    if (x._pow is None and x._m * x._n.bit_length() > _EXACT_POWER_BITS
+            or y._pow is None and y._m * y._n.bit_length() > _EXACT_POWER_BITS):
+        return certified_decision((x, y), _separation)
+    px, py = x._power(), y._power()
+    d = x._c - y._c
+    if d >= py.bit_length() or -d >= px.bit_length():
+        return 1 if d > 0 else -1
+    if d > 0:
+        px <<= d
+    elif d < 0:  # not shifting by 0, which would copy the power
+        py <<= -d
+    return 1 if px > py else -1
 
 
 ExactValue = Union[int, Fraction, GoldenNumber, LogValue]
@@ -660,21 +662,18 @@ def _separation(a: CertifiedApprox, b: CertifiedApprox):
 def certified_sign(x: ExactValue, y: ExactValue) -> int:
     """-1, 0 or 1 as x is below, equal to, or above y, for any two exact values.
 
-    Exact where that is cheap: Z[tau] against Z[tau] or a rational,
-    integer-valued logs, and two logs of one (mult, arg) or whose powers
-    arg**mult and offset difference fit in PREC_BUDGET_BITS bits.  Other
-    pairs are never equal and are ordered by certified_decision.
+    Exact for Z[tau] against Z[tau] or a rational, for integer-valued logs,
+    and for two logs (_log_order, as LogValue's operators).  A non-integer
+    log against a rational or a golden number is never equal to it and is
+    ordered by certified_decision.
     """
     if type(x) is LogValue or type(y) is LogValue:
+        if type(x) is type(y):
+            return _log_order(x, y)
         if type(x) is LogValue and x._n == 1:
             x = x._c
         if type(y) is LogValue and y._n == 1:
             y = y._c
-        if type(x) is LogValue and type(y) is LogValue and (
-                x._n == y._n and x._m == y._m
-                or x._m * x._n.bit_length() + y._m * y._n.bit_length() + abs(x._c - y._c)
-                <= PREC_BUDGET_BITS):
-            return x._cmp(y)
         if type(x) is LogValue or type(y) is LogValue:
             return certified_decision((x, y), _separation)
     if type(x) is GoldenNumber:

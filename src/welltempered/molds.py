@@ -96,6 +96,12 @@ class PeriodSpec:
         return [c - one for c in self.cuts]
 
 
+def _check_multiplicity(m, message: str) -> None:
+    """Raise ValueError(message) unless m is an int, not a bool, and at least 1."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ValueError(message)
+
+
 class Mold:
     """Base class: an exact-element accessor plus optional spacing data."""
 
@@ -129,8 +135,7 @@ class MetricMold(Mold):
         return LogValue.log2(i + 1)
 
     def spacing_index(self, m: int) -> tuple[int, str]:
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
+        _check_multiplicity(m, "multiplicity must be >= 1")
 
         def ok(n: int) -> bool:
             return (n + 2) ** m < 2 * (n + 1) ** m
@@ -239,8 +244,7 @@ class FractalMold(Mold):
         return self._elements[:count]
 
     def spacing_index(self, m: int) -> tuple[int, str]:
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
+        _check_multiplicity(m, "multiplicity must be >= 1")
         rho = max(w for _, w in self._pieces)
         bound = Fraction(1, m)
         ell = 1
@@ -286,8 +290,7 @@ class GridMold(Mold):
         return k + Fraction(i - self.start_index(k), self._size(k))
 
     def spacing_index(self, m: int) -> tuple[int, str]:
-        if m < 1:
-            raise ValueError("multiplicity must be >= 1")
+        _check_multiplicity(m, "multiplicity must be >= 1")
         k = 1
         while self._size(k) <= m:
             k += 1

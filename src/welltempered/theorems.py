@@ -26,7 +26,13 @@ from .exactnum import (
     rational_between,
     scale,
 )
-from .molds import Mold, PropertyReport, golden_fractal_mold, metric_mold
+from .molds import (
+    Mold,
+    PropertyReport,
+    _check_multiplicity,
+    golden_fractal_mold,
+    metric_mold,
+)
 from .render import render_decimal
 from .semigroups import (
     CollapseRecord,
@@ -39,7 +45,14 @@ from .semigroups import (
 
 @dataclass(frozen=True)
 class SimultaneousMatch:
-    """One semigroup realized by both molds, with the threshold regions."""
+    """One semigroup realized by both molds, with the threshold regions.
+
+    even_filterable is each side's verdict, read at its region's upper end
+    only.  The collapse can move inside a region (at m = 3 the golden side
+    has a region holding collapses 8 and 9), but up to m = 34 the verdict
+    is the same on every sweep interval of every region, as
+    test_even_filterability_is_constant_on_each_region checks.
+    """
 
     m: int
     interval_L: AlphaInterval
@@ -217,22 +230,19 @@ def simultaneous_search(m: int) -> list[SimultaneousMatch]:
     golden-side region.  Every match has been re-discretized at an
     interior rational of each region and closure-verified.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("multiplicity must be a positive integer")
+    _check_multiplicity(m, "multiplicity must be a positive integer")
     return list(_search(m))
 
 
 def multiplicity_census(m_max: int) -> set[int]:
     """The multiplicities up to m_max with at least one simultaneous match."""
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise ValueError("m_max must be a positive integer")
+    _check_multiplicity(m_max, "m_max must be a positive integer")
     return {m for m in range(1, m_max + 1) if _search(m)}
 
 
 def even_filterable_census(m_max: int) -> set[int]:
     """Multiplicities whose some match is even-filterable on both sides."""
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise ValueError("m_max must be a positive integer")
+    _check_multiplicity(m_max, "m_max must be a positive integer")
     found = set()
     for m in range(1, m_max + 1):
         for match in _search(m):

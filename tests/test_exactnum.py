@@ -2,6 +2,7 @@
 
 import ast
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -482,3 +483,74 @@ def test_log_comparisons_unchanged_by_the_power_cache():
     first = table(values)
     again = table(values)  # every power now cached
     assert cold == first == again
+
+
+def _near(rng, v: float):
+    """An exact value of a random family placed near v (floats only place it)."""
+    kind = rng.randrange(9)
+    if kind == 0:
+        return round(v) + rng.randint(-1, 1)
+    if kind == 1:
+        q = rng.randint(1, 60)
+        return Fraction(round(v * q) + rng.randint(-2, 2), q)
+    if kind == 2:
+        b = rng.randint(-40, 40)
+        return GoldenNumber(round(v - b * 0.6180339887) + rng.randint(-1, 1), b)
+    if kind == 3:
+        b = Fraction(rng.randint(-80, 80), rng.randint(1, 6))
+        return GoldenNumber(Fraction(round((v - float(b) * 0.6180339887) * 6), 6), b)
+    if kind == 4:
+        return GoldenNumber(round(v) + rng.randint(-1, 1), 0)
+    if kind == 5:  # integer-valued: the base is a power of two
+        m, n = rng.randint(1, 5), 2 ** rng.randint(0, 4)
+        return LogValue(m, n, round(v - m * math.log2(n)) + rng.randint(-1, 1))
+    m = rng.randint(1, 12) if kind < 8 else rng.randint(200, 2000)
+    n = rng.randint(3, 60)
+    return LogValue(m, n, round(v - m * math.log2(n)) + rng.randint(-1, 1))
+
+
+def test_operators_agree_with_certified_sign():
+    rng = random.Random(20261019)
+    families, equal_across = set(), 0
+    for _ in range(1500):
+        v = rng.choice((1, 10, 10 ** 6, 10 ** 12)) * rng.uniform(-1, 1)
+        # most partners are near, some up to 10**12 away
+        w = v if rng.random() < 0.75 else v + rng.uniform(-1, 1) * 10 ** 12
+        x, y = _near(rng, v), _near(rng, w)
+        families.add((type(x).__name__, type(y).__name__))
+        sign = certified_sign(x, y)
+        assert certified_sign(y, x) == -sign
+        assert (x == y) == (y == x) == (sign == 0), (x, y)
+        if sign == 0:
+            assert hash(x) == hash(y)
+            equal_across += type(x) is not type(y)
+        a, b = CertifiedApprox(x, 700), CertifiedApprox(y, 700)
+        assert not (a.upper < b.lower and sign != -1 or b.upper < a.lower and sign != 1)
+        if {type(x), type(y)} == {GoldenNumber, LogValue}:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    op(x, y)
+            continue
+        assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0), (x, y)
+    assert len(families) == 16 and equal_across > 20
+
+
+def test_cross_family_equality_is_transitive():
+    assert GoldenNumber(3, 0) == LogValue(1, 8) == 3
+    assert LogValue(1, 8) == GoldenNumber(3, 0)
+    assert len({GoldenNumber(3, 0), LogValue(1, 8), 3}) == 1
+    assert GoldenNumber(3, 1) != LogValue(1, 8)
+    assert LogValue(1, 3) != GoldenNumber(1, 0)
+
+
+def test_far_apart_and_huge_log_pairs_stay_bounded():
+    # neither a 10**12-bit shift nor 3**(10**9) is ever built
+    start = time.perf_counter()
+    far, near = LogValue(1, 3, 10 ** 12), LogValue(1, 5)
+    assert far > near and not far <= near and near < far
+    assert certified_sign(far, near) == 1 and certified_sign(near, far) == -1
+    big3, big5 = LogValue(10 ** 9, 3), LogValue(10 ** 9, 5)
+    assert big3 < big5 and not big3 >= big5 and big5 > big3
+    assert certified_sign(big3, big5) == -1 and certified_sign(big5, big3) == 1
+    assert big3._pow is None and big5._pow is None
+    assert time.perf_counter() - start < 1.0

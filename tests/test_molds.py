@@ -294,6 +294,15 @@ def test_spacing_indices():
         assert F.spacing_index(m)[0] == (1 << ell) - 1, m
 
 
+@pytest.mark.parametrize("m", [2.5, True, 0])
+@pytest.mark.parametrize("mold", [metric_mold(), golden_fractal_mold(), mold_q()],
+                         ids=["L", "F", "Q"])
+def test_spacing_index_rejects_non_multiplicities(mold, m):
+    # a float would be decided by float powers, and True would pass as 1
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        mold.spacing_index(m)
+
+
 def test_explicit_mold_boundaries():
     mold = ExplicitMold([0, 1, Fraction(3, 2)], name="listed")
     assert mold.element(2) == Fraction(3, 2)

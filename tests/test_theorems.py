@@ -6,10 +6,10 @@ import pytest
 
 from welltempered import theorems
 from welltempered.cli import SEARCH_BOUND, main
-from welltempered.discretize import discretize
-from welltempered.exactnum import GoldenNumber, LogValue
+from welltempered.discretize import alpha_sweep, discretize
+from welltempered.exactnum import GoldenNumber, LogValue, certified_sign
 from welltempered.molds import golden_fractal_mold, metric_mold
-from welltempered.semigroups import from_discretization
+from welltempered.semigroups import collapse, even_filterable_semigroup, from_discretization
 from welltempered.theorems import (
     EVEN_FILTERABLE_MULTIPLICITIES,
     FEASIBLE_MULTIPLICITIES,
@@ -88,6 +88,31 @@ def test_reference_witnesses_are_recovered():
                 and mt.interval_L.contains_alpha(ref.alpha_L)
                 and mt.interval_F.contains_alpha(ref.alpha_F)]
         assert hits, m
+
+
+def test_even_filterability_is_constant_on_each_region():
+    # the search reads the verdict at each merged region's upper end; the
+    # collapse may move inside a region, but the verdict does not
+    collapse_moved = 0
+    for m in range(1, SEARCH_BOUND + 1):
+        matches = simultaneous_search(m)
+        if not matches:
+            continue
+        sweeps = (alpha_sweep(L, m), alpha_sweep(F, m))
+        for mt in matches:
+            for side, region in enumerate((mt.interval_L, mt.interval_F)):
+                inside = [iv for iv in sweeps[side]
+                          if iv.is_ceiling_point == region.is_ceiling_point
+                          and certified_sign(region.lower, iv.lower) <= 0
+                          and certified_sign(iv.upper, region.upper) <= 0]
+                assert inside and inside[-1].upper == region.upper, (m, side)
+                kappas = {collapse(iv.representative).kappa for iv in inside}
+                collapse_moved += len(kappas) > 1
+                for iv in inside:
+                    assert iv.key == region.key
+                    verdict = even_filterable_semigroup(iv.representative).holds
+                    assert verdict == mt.even_filterable[side].holds, (m, side, iv.upper)
+    assert collapse_moved == 11
 
 
 def test_m12_unique_match_is_h():
