@@ -2,8 +2,9 @@
 
 ``GoldenNumber`` is the ring Z[tau], tau = (sqrt(5) - 1)/2, with a total
 order decided purely by integer sign analysis.  ``LogValue`` is an
-unevaluated m*log2(n) + c, ordered against another log by exact integer
-powers n**m and against a rational through certified enclosures.
+unevaluated m*log2(n) + c, floored and ordered against another log by
+exact integer powers n**m up to a size gate, and past it or against a
+rational through certified enclosures.
 ``fractions.Fraction`` covers the rational family.  Floats never decide
 anything: certified enclosures are built from integer square roots and
 interval squaring.
@@ -62,11 +63,12 @@ def _integer_root(n: int, k: int) -> int:
 
 def _primitive_power(n: int) -> tuple[int, int]:
     """Write n >= 2 as r**k with k maximal; the base r is then not a perfect power."""
-    for k in range(n.bit_length() - 1, 1, -1):
-        r = _integer_root(n, k)
-        if r ** k == n:
-            return r, k
-    return n, 1
+    k = 1
+    for p in range(2, n.bit_length()):  # n is an e-th power just for e dividing k, so
+        if pow(2, p, p) == 2 % p:  # try each prime (this passes all; a composite finds none)
+            while (r := _integer_root(n, p)) ** p == n:
+                n, k = r, k * p
+    return n, k
 
 
 def _sign_u_v_sqrt5(u: int, v: int) -> int:
@@ -87,13 +89,17 @@ def _sign_u_v_sqrt5(u: int, v: int) -> int:
     return 1 if u * u > 5 * v * v else -1
 
 
+def _cleared(a: Coeff, b: Coeff) -> tuple[int, int, int]:
+    """(q*a, q*b, q) for the least positive integer q that clears both denominators."""
+    fa, fb = Fraction(a), Fraction(b)
+    q = math.lcm(fa.denominator, fb.denominator)
+    return int(fa * q), int(fb * q), q
+
+
 def _sign_a_b_tau(a: Coeff, b: Coeff) -> int:
     """Sign of a + b*tau for rational a, b."""
-    if not (type(a) is int and type(b) is int) and (
-            isinstance(a, Fraction) or isinstance(b, Fraction)):
-        fa, fb = Fraction(a), Fraction(b)
-        q = (fa.denominator * fb.denominator) // math.gcd(fa.denominator, fb.denominator)
-        a, b = int(fa * q), int(fb * q)
+    if not (type(a) is int and type(b) is int):
+        a, b, _ = _cleared(a, b)
     # a + b*tau = ((2a - b) + b*sqrt(5)) / 2
     return _sign_u_v_sqrt5(2 * a - b, b)
 
@@ -227,15 +233,11 @@ class GoldenNumber:
         return self._b == 0 and (isinstance(self._a, int))
 
     def floor(self) -> int:
-        a, b = self._a, self._b
-        if b == 0:
-            return math.floor(a)
-        if isinstance(a, int) and isinstance(b, int):
-            return _floor_int_tau(a, b)
-        fa, fb = Fraction(a), Fraction(b)
-        q = (fa.denominator * fb.denominator) // math.gcd(fa.denominator, fb.denominator)
+        if type(self._a) is int and type(self._b) is int:
+            return _floor_int_tau(self._a, self._b)
+        a, b, q = _cleared(self._a, self._b)
         # floor(x/q) = floor(floor(x)/q) for positive integer q
-        return _floor_int_tau(int(fa * q), int(fb * q)) // q
+        return _floor_int_tau(a, b) // q
 
     def ceil(self) -> int:
         f = self.floor()
@@ -311,8 +313,12 @@ def certified_log2(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     return (Fraction(e) + Fraction(y, scale), Fraction(e) + Fraction(y + 1, scale))
 
 
-# largest mult * bit_length(arg) for which arg**mult is built (sums, orders)
+# largest mult * bit_length(arg) for which LogValue._power builds arg**mult
 _EXACT_POWER_BITS = 10 ** 6
+
+# largest odd part of a log's argument, in bits: canonicalizing takes a root for each
+# prime below its bit length, 0.1 s at this size (2-core VM) and 0.6 s at twice it
+_MAX_ARG_BITS = 4096
 
 
 @total_ordering
@@ -323,9 +329,9 @@ class LogValue:
     a perfect power (m absorbs the exponent), so equal values share one
     representation and the value is an integer exactly when n == 1.
     Equality is therefore structural (an integer-valued log also equals its
-    int, Fraction or GoldenNumber).  Logs are ordered by _log_order, an
-    exact comparison of the powers arg**mult, kept once computed and shared
-    by values of one (mult, arg); rationals by certified_sign.
+    int, Fraction or GoldenNumber).  Floors and _log_order use arg**mult from
+    _power, cached per (mult, arg) and declined past _EXACT_POWER_BITS, where
+    enclosures decide instead; rationals go to certified_sign.
     """
 
     __slots__ = ("_m", "_n", "_c", "_pow")
@@ -338,6 +344,8 @@ class LogValue:
         while arg % 2 == 0:
             arg //= 2
             offset += mult
+        if arg.bit_length() > _MAX_ARG_BITS:
+            raise ValueError("log argument too large to represent exactly")
         if arg > 1:
             # canonical base is not a perfect power, so equal values share
             # one representation (and one hash): m*log2(r^k) = (m*k)*log2(r)
@@ -390,11 +398,11 @@ class LogValue:
                 return self + other._c
             if self._m == other._m:
                 return LogValue(self._m, self._n * other._n, self._c + other._c)
-            bits = self._m * self._n.bit_length() + other._m * other._n.bit_length()
-            if bits > _EXACT_POWER_BITS:
+            ps, po = self._power(), other._power()
+            # the product has at least this many bits
+            if ps is None or po is None or ps.bit_length() + po.bit_length() - 1 > _MAX_ARG_BITS:
                 raise ValueError("sum too large to represent exactly")
-            return LogValue(1, self._n ** self._m * other._n ** other._m,
-                            self._c + other._c)
+            return LogValue(1, ps * po, self._c + other._c)
         if isinstance(other, int) and not isinstance(other, bool):
             return _log(self._m, self._n, self._c + other, self._pow)
         return NotImplemented
@@ -414,14 +422,18 @@ class LogValue:
             return _log(1, 1, self._c * k, 1)
         return _log(self._m * k, self._n, self._c * k)
 
-    def _power(self) -> int:
+    def _power(self) -> "int | None":
+        """arg**mult, cached; None if uncached and mult*bit_length(arg) > _EXACT_POWER_BITS."""
         power = self._pow
-        if power is None:
+        if power is None and self._m * self._n.bit_length() <= _EXACT_POWER_BITS:
             power = self._pow = self._n ** self._m
         return power
 
     def floor(self) -> int:
-        return self._power().bit_length() - 1 + self._c
+        power = self._power()
+        if power is None:
+            return certified_decision((self,), _settled_floor)
+        return power.bit_length() - 1 + self._c
 
     def ceil(self) -> int:
         return self._c if self._n == 1 else self.floor() + 1
@@ -476,15 +488,14 @@ def _log_order(x: LogValue, y: LogValue) -> int:
 
     x - y = log2(px) - log2(py) + d for the powers px, py and offset gap d;
     as 0 <= log2(p) < bit_length(p), a gap at least the opposite power's bit
-    length decides alone.  Distinct canonical forms are never equal.  A
-    power not yet cached past _EXACT_POWER_BITS goes to enclosures.
+    length decides alone.  Distinct canonical forms are never equal.  When
+    _power declines either power, enclosures decide instead.
     """
     if x._n == y._n and x._m == y._m:
         return (x._c > y._c) - (x._c < y._c)
-    if (x._pow is None and x._m * x._n.bit_length() > _EXACT_POWER_BITS
-            or y._pow is None and y._m * y._n.bit_length() > _EXACT_POWER_BITS):
-        return certified_decision((x, y), _separation)
     px, py = x._power(), y._power()
+    if px is None or py is None:
+        return certified_decision((x, y), _separation)
     d = x._c - y._c
     if d >= py.bit_length() or -d >= px.bit_length():
         return 1 if d > 0 else -1
@@ -695,15 +706,6 @@ def certified_floor(x: ExactValue) -> int:
     if type(x) is LogValue and x._n != 1:
         return certified_decision((x,), _settled_floor)
     return exact_floor(x)
-
-
-def cross_compare(x: ExactValue, y: ExactValue) -> str:
-    """certified_sign as "less", "equal" or "greater"; "inconclusive" past the budget."""
-    try:
-        sign = certified_sign(x, y)
-    except PrecisionBudgetExceeded:
-        return "inconclusive"
-    return ("less", "equal", "greater")[sign + 1]
 
 
 def rational_between(lo: ExactValue, hi: ExactValue) -> Fraction:

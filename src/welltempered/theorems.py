@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from .discretize import AlphaInterval, _rediscretize, alpha_sweep
 from .exactnum import (
+    PrecisionBudgetExceeded,
     certified_sign,
-    cross_compare,
     exact_floor,
     exact_frac,
     exact_is_integer,
@@ -273,11 +273,11 @@ def tail_certificate(m: int) -> TailCertificate:
         raise RuntimeError("metric mold lost its exact element at index 3")
     if not (exact_is_integer(third_f) and exact_floor(third_f) == 2 * m):
         raise RuntimeError("golden mold lost its exact element at index 3")
-    verdict = cross_compare(scale(fmold.element(4), m),
-                            scale(lmold.element(4), m) + 2)
-    if verdict != "greater":
-        raise RuntimeError(
-            f"index-4 separation came back {verdict!r} at multiplicity {m}")
+    try:
+        if certified_sign(scale(fmold.element(4), m), scale(lmold.element(4), m) + 2) <= 0:
+            raise RuntimeError(f"index-4 separation not certified at multiplicity {m}")
+    except PrecisionBudgetExceeded as exc:
+        raise RuntimeError(f"index-4 separation undecided at multiplicity {m}") from exc
     if certified_sign(fmold.element(4), lmold.element(4)) <= 0:
         raise RuntimeError("phi_4 does not exceed lambda_4, so the separation "
                            "need not grow with m")

@@ -13,15 +13,16 @@ import pytest
 import welltempered
 from welltempered.exactnum import (
     TAU,
+    _EXACT_POWER_BITS,
     _golden,
     _integer_root,
+    _split,
     CertifiedApprox,
     GoldenNumber,
     LogValue,
     certified_floor,
     certified_log2,
     certified_sign,
-    cross_compare,
     exact_ceil,
     exact_floor,
     exact_frac,
@@ -256,36 +257,34 @@ def test_certified_log2_enclosures():
     assert certified_log2(1, 50) == (Fraction(0), Fraction(0))
 
 
-def test_cross_compare_examples():
+def test_certified_sign_cross_family_examples():
     # 34 * (fifth golden element) vs 34 * log2(5) + 2
     g = GoldenNumber(102, -34)
     lv = LogValue(34, 5, 2)
-    assert cross_compare(g, lv) == "greater"
-    assert cross_compare(lv, g) == "less"
-    assert cross_compare(GoldenNumber(1, 1), LogValue(1, 3)) == "greater"
-    assert cross_compare(GoldenNumber(2, 0), LogValue(1, 4)) == "equal"
-    assert cross_compare(TAU, Fraction(618, 1000)) == "greater"
+    assert certified_sign(g, lv) == 1
+    assert certified_sign(lv, g) == -1
+    assert certified_sign(GoldenNumber(1, 1), LogValue(1, 3)) == 1
+    assert certified_sign(GoldenNumber(2, 0), LogValue(1, 4)) == 0
+    assert certified_sign(TAU, Fraction(618, 1000)) == 1
 
 
-def test_cross_compare_agrees_with_high_precision():
+def test_certified_sign_golden_vs_log_agrees_with_high_precision():
     rng = random.Random(5551212)
     for _ in range(200):
         g = GoldenNumber(rng.randint(-30, 30), rng.randint(-30, 30))
         lv = LogValue(rng.randint(1, 10), rng.randint(1, 50), rng.randint(-30, 30))
-        verdict = cross_compare(g, lv)
+        sign = certified_sign(g, lv)
         glo, ghi = g.enclosure(700)
         llo, lhi = lv.enclosure(700)
-        if verdict == "greater":
+        if sign == 1:
             assert glo > lhi or (glo >= lhi and g != 0)
             assert glo > llo
             assert ghi > lhi
-        elif verdict == "less":
+        elif sign == -1:
             assert ghi < llo
-        elif verdict == "equal":
-            assert glo <= lhi and llo <= ghi
         else:
-            assert verdict == "inconclusive"
-            assert not (ghi < llo or lhi < glo) or (lhi - llo) > 0
+            assert sign == 0
+            assert glo <= lhi and llo <= ghi
 
 
 def test_cross_compare_mixed_direct_comparison_raises():
@@ -328,7 +327,8 @@ def test_certified_sign_agrees_with_high_precision():
     for _ in range(150):
         lv = log()
         golden = GoldenNumber(rng.randint(-40, 40), rng.randint(-40, 40))
-        # small multipliers compare exactly, large ones through enclosures
+        # log partners with 1..12 and 3000..6000 multipliers both compare by
+        # exact powers, far inside _EXACT_POWER_BITS
         pairs = [(golden_near(lv), lv), (lv, log_near(lv, (1, 12))),
                  (lv, log_near(lv, (3000, 6000))), (lv, rational_near(lv)),
                  (golden, rational_near(golden))]
@@ -554,3 +554,70 @@ def test_far_apart_and_huge_log_pairs_stay_bounded():
     assert certified_sign(big3, big5) == -1 and certified_sign(big5, big3) == 1
     assert big3._pow is None and big5._pow is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_log_sums_and_perfect_powers_stay_bounded():
+    # the perfect-power search tries prime exponents only, and an odd part
+    # past 4096 bits is rejected before it is searched
+    start = time.perf_counter()
+    total = LogValue(1000, 3) + LogValue(1001, 5)
+    assert time.perf_counter() - start < 0.15
+    assert (total.mult, total.arg, total.offset) == (1, 3 ** 1000 * 5 ** 1001, 0)
+    assert total.arg.bit_length() == 3910
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        LogValue(3000, 3) + LogValue(3001, 5)
+    with pytest.raises(ValueError):
+        LogValue(1, 3 ** 3000)
+    assert time.perf_counter() - start < 0.01
+    assert LogValue(1, 3 ** 700) == LogValue(700, 3)
+    assert LogValue(1, 2 ** 5000 * 9) == LogValue(2, 3, 5000)  # only the odd part counts
+
+
+def test_hostile_log_floors_are_decided_on_enclosures():
+    # 3**(10**7) and 3**(10**8) are never built
+    half = Fraction(1, 2)
+    small, big = LogValue(10 ** 7, 3), LogValue(10 ** 8, 3)
+    fs, fb = certified_floor(small), certified_floor(big)
+    cases = [
+        (lambda: floor_alpha(small, half), fs + (certified_sign(small - fs, half) >= 0)),
+        (big.floor, fb),
+        (big.ceil, fb + 1),
+        (big.frac, big - fb),
+        (lambda: _split(big), (fb, big - fb)),
+    ]
+    for op, expected in cases:
+        start = time.perf_counter()
+        got = op()
+        assert time.perf_counter() - start < 0.1, op
+        assert got == expected
+    assert small._pow is None and big._pow is None
+
+
+def test_log_floors_agree_with_certified_floor_across_the_power_gate():
+    # mult * bit_length(arg) just below the gate builds the power, just above
+    # it falls back to enclosures; both must give the same floor
+    rng = random.Random(20261018)
+    for _ in range(6):
+        n = rng.choice((3, 5, 7, 11, 13, 59, 1001))
+        top = _EXACT_POWER_BITS // n.bit_length()
+        for m in (top - rng.randint(0, 3), top + rng.randint(1, 3)):
+            x = LogValue(m, n, rng.randint(-10 ** 6, 10 ** 6))
+            fl = x.floor()
+            assert (x._pow is not None) == (m <= top)
+            assert fl == certified_floor(x) and x.ceil() == fl + 1
+            frac = x.frac()
+            assert frac == x - fl and certified_sign(frac, 0) == 1 == certified_sign(1, frac)
+            alpha = Fraction(rng.randint(1, 99), 100)
+            up = certified_sign(frac, alpha) >= 0
+            assert floor_alpha(x, alpha) == fl + up
+
+
+def test_only_power_builds_log_powers():
+    # one size gate: every arg**mult in exactnum is built by LogValue._power
+    tree = ast.parse(Path(welltempered.__file__).with_name("exactnum.py").read_text())
+    exponents = ("self._m", "other._m", "mult")
+    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.BinOp)
+             and isinstance(node.op, ast.Pow) and ast.unparse(node.right) in exponents]
+    assert sites == ["_power"]

@@ -7,7 +7,7 @@ import pytest
 from welltempered import theorems
 from welltempered.cli import SEARCH_BOUND, main
 from welltempered.discretize import alpha_sweep, discretize
-from welltempered.exactnum import GoldenNumber, LogValue, certified_sign
+from welltempered.exactnum import GoldenNumber, LogValue, PrecisionBudgetExceeded, certified_sign
 from welltempered.molds import golden_fractal_mold, metric_mold
 from welltempered.semigroups import collapse, even_filterable_semigroup, from_discretization
 from welltempered.theorems import (
@@ -182,6 +182,16 @@ def test_tail_certificate_needs_the_growth_comparison(monkeypatch, capsys):
     real = theorems.certified_sign
     monkeypatch.setattr(theorems, "certified_sign", lambda x, y: -real(x, y))
     with pytest.raises(RuntimeError):
+        tail_certificate(theorems.TAIL_START)
+    assert main(["theorem", "--which", "4"]) == 1
+    assert "tail: m >= 35 NOT certified" in capsys.readouterr().out
+
+
+def test_tail_certificate_fails_on_an_undecided_comparison(monkeypatch, capsys):
+    def undecided(x, y):
+        raise PrecisionBudgetExceeded((x, y), 4096, ())
+    monkeypatch.setattr(theorems, "certified_sign", undecided)
+    with pytest.raises(RuntimeError, match="undecided at multiplicity 35"):
         tail_certificate(theorems.TAIL_START)
     assert main(["theorem", "--which", "4"]) == 1
     assert "tail: m >= 35 NOT certified" in capsys.readouterr().out
