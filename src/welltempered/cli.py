@@ -53,7 +53,7 @@ from .theorems import (
     tail_certificate,
 )
 
-SEARCH_BOUND = 34
+SEARCH_BOUND = TAIL_START - 1  # searched up to here, the tail covers the rest
 
 # inclusive ranges of the integer flags, checked at parse time (exit 2);
 # past the --m and --count ranges a command would run for minutes

@@ -8,10 +8,12 @@ below 1, so the set is fixed by the indices up to N, and everything at or
 beyond the conductor ceil(m * mu_N) is present whatever alpha is used.
 Sweeping alpha over (0, 1] produces finitely many distinct images, one per
 gap between fractional parts; the sweep enumerates them exactly, with
-alpha = 0 (pure ceiling) kept as a distinguished extra interval.  Image
-sets rest on the spacing proof and the scaled prefix alone; the walk to
-the horizon, which re-checks the steps past N exactly, and the index maps
-are computed only when something reads them.
+alpha = 0 (pure ceiling) kept as a distinguished extra interval.  One
+TruncationCertificate per (mold, m) carries the spacing proof and the
+split prefix that fix every image set, and d.certificate and
+interval.certificate expose it.  Its walk to the horizon, which re-checks
+the steps past N exactly, and the index maps are computed only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -43,51 +45,48 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class TruncationCertificate:
-    """Evidence that a discretized mold is cofinite in the integers.
+    """Evidence that a discretized mold is cofinite, and the split prefix it rests on.
 
     prefix_end is the mold's spacing index N, whose spacing_index proof
-    covers every i >= N: the scaled step m * (mu_(i+1) - mu_i) is strictly
-    below 1, so discretized neighbours differ by at most 1 and no integer
-    past the image of mu_N can be skipped, whatever the rounding threshold.
-    conductor is ceil(m * mu_N), an alpha-independent bound; per-threshold
-    conductors found later can only be smaller.  horizon is the last index
-    of a finite exact re-check of the step inequality (chosen so consumers
-    of index maps see the discretized run reach conductor + 2m).  Sweeps
-    and discretizations build it on first read of a horizon.
+    (witness) covers every i >= N: the scaled step m * (mu_(i+1) - mu_i) is
+    strictly below 1, so discretized neighbours differ by at most 1 and no
+    integer past the image of mu_N can be skipped, whatever the rounding
+    threshold.  conductor is ceil(m * mu_N), an alpha-independent bound;
+    per-threshold conductors found later can only be smaller.  floors[i] and
+    fracs[i] split m * mu_i for i <= N (fracs[i] is None at an integer) and
+    fix every image set; the discretizations and sweep intervals of this
+    (mold, m) all hold this one record.  horizon, walked on first read, is
+    the last index of a finite exact re-check of the step inequality
+    (chosen so consumers of index maps see the run reach conductor + 2m).
     """
 
     mold_name: str
     multiplicity: int
     prefix_end: int
     conductor: int
-    horizon: int
-    spacing_witness: str
-
-
-@dataclass(frozen=True)
-class _PrefixTables:
-    """One (mold, m) split for rounding at any threshold.
-
-    floors[i] and fracs[i] are the floor and fractional part of m * mu_i
-    for i <= prefix_end; fracs[i] is None when m * mu_i is an integer.
-    These tables fix every image set, by the spacing proof of prefix_end;
-    only the first certified step is checked here.  Indices past the prefix
-    end are rounded from the mold when an index map needs them, and cert,
-    the walk to the horizon, runs on first read and is shared by every
-    discretization built from these tables.
-    """
-
-    mold: Mold
-    multiplicity: int
-    prefix_end: int
     witness: str
-    conductor: int
-    floors: tuple
-    fracs: tuple
+    mold: Mold = field(repr=False, compare=False)
+    floors: tuple = field(repr=False, compare=False)
+    fracs: tuple = field(repr=False, compare=False)
 
     @cached_property
-    def cert(self) -> TruncationCertificate:
-        return _certificate_with_values(self)
+    def horizon(self) -> int:
+        """Walk from the prefix end, checking each step exactly; no scaled value is kept."""
+        mold, m = self.mold, self.multiplicity
+        current = scale(mold.element(self.prefix_end), m)
+        target = self.conductor + 2 * m + 2
+        horizon = self.prefix_end
+        while exact_floor(current) < target:
+            following = scale(mold.element(horizon + 1), m)
+            _check_step(mold, horizon, current, following)
+            horizon += 1
+            current = following
+        return horizon
+
+    @property
+    def spacing_witness(self) -> str:
+        return (f"{self.witness}; m*step < 1 checked exactly for indices "
+                f"{self.prefix_end}..{self.horizon}")
 
 
 def _key_of(members: list) -> tuple:
@@ -113,43 +112,32 @@ class Discretization:
     """One discretized image: its cofinite shape, with the index map on demand.
 
     prefix holds the members below the (minimal) conductor; every integer
-    at or beyond the conductor is a member.  The set rests on the spacing
-    proof: the indices up to prefix_end fix it, and they are rounded when
-    the discretization is made.  values[i] = round(m * mu_i) for
-    0 <= i <= horizon; the horizon is computed on first read (of horizon,
-    values or ==), and the rest of values is then rounded from the mold.
-    iter_values() goes on past the prefix without a horizon and without
-    storing anything.  The index map is kept because collapse detection
-    needs to know which mold indices landed on the same integer, not just
-    the resulting set.
+    at or beyond the conductor is a member (from_discretization answers
+    membership).  The set rests on the spacing proof: certificate, of the
+    (mold, m), holds the split prefix that fixes it.  values[i] =
+    round(m * mu_i) for 0 <= i <= horizon; the horizon is computed on first
+    read (of horizon, values or ==), and the rest of values is then rounded
+    from the mold.  iter_values() goes on past the prefix without a horizon
+    and without storing anything.  The index map is kept because collapse
+    detection needs to know which mold indices landed on the same integer.
     """
 
-    mold_name: str
-    multiplicity: int
-    prefix_end: int
     conductor: int
     prefix: tuple
+    certificate: TruncationCertificate = field(repr=False)
     _alpha: ExactValue = field(repr=False)
     _head: tuple = field(repr=False)
-    _tables: _PrefixTables = field(repr=False)
 
     @property
     def horizon(self) -> int:
-        return self._tables.cert.horizon
-
-    def contains(self, n: int) -> bool:
-        return n >= self.conductor or n in self.prefix
-
-    def members_below(self, bound: int) -> list:
-        out = [v for v in self.prefix if v < bound]
-        out.extend(range(self.conductor, max(self.conductor, bound)))
-        return out
+        return self.certificate.horizon
 
     def iter_values(self):
         """round(m * mu_i) for i = 0, 1, 2, ... without end."""
         yield from self._head
-        mold, m = self._tables.mold, self.multiplicity
-        for i in count(self.prefix_end + 1):
+        cert = self.certificate
+        mold, m = cert.mold, cert.multiplicity
+        for i in count(cert.prefix_end + 1):
             yield _round(*_split(scale(mold.element(i), m)), self._alpha)
 
     @cached_property
@@ -157,8 +145,7 @@ class Discretization:
         return tuple(islice(self.iter_values(), self.horizon + 1))
 
     def _fields(self) -> tuple:
-        return (self.mold_name, self.multiplicity, self.prefix_end, self.conductor,
-                self.prefix, self.values)
+        return (self.certificate, self.conductor, self.prefix, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Discretization):
@@ -166,7 +153,7 @@ class Discretization:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.mold_name, self.multiplicity, self.conductor, self.prefix))
+        return hash((self.certificate, self.conductor, self.prefix))
 
 
 def _check_step(mold: Mold, i: int, current, following) -> None:
@@ -176,32 +163,12 @@ def _check_step(mold: Mold, i: int, current, following) -> None:
             f"mold {mold.name!r}: scaled step at index {i} is not below 1")
 
 
-def _certificate_with_values(tables: _PrefixTables) -> TruncationCertificate:
-    """The truncation certificate of the tables' (mold, m), by walking to the horizon.
-
-    Every step from the prefix end to the horizon is checked exactly, a
-    finite re-check of what the spacing index proves for all later steps;
-    no scaled value is kept.
-    """
-    mold, m, prefix_end = tables.mold, tables.multiplicity, tables.prefix_end
-    current = scale(mold.element(prefix_end), m)
-    target = tables.conductor + 2 * m + 2
-    horizon = prefix_end
-    while exact_floor(current) < target:
-        following = scale(mold.element(horizon + 1), m)
-        _check_step(mold, horizon, current, following)
-        horizon += 1
-        current = following
-    detail = f"{tables.witness}; m*step < 1 checked exactly for indices {prefix_end}..{horizon}"
-    return TruncationCertificate(mold.name, m, prefix_end, tables.conductor, horizon, detail)
-
-
-def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
+def _prefix_tables(mold: Mold, m: int) -> TruncationCertificate:
     """Split m * mu_i for i <= prefix_end, after checking the step at prefix_end.
 
     That one exact check, the walk's first step with the walk's error,
     reads element prefix_end + 1 and no further.  A bad step further on is
-    caught when the walk runs.
+    caught when the walk to the horizon runs.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
@@ -209,7 +176,8 @@ def _prefix_tables(mold: Mold, m: int) -> _PrefixTables:
     _check_step(mold, prefix_end, scaled[-2], scaled[-1])
     floors, fracs = zip(*map(_split, scaled[:-1]))
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
-    return _PrefixTables(mold, m, prefix_end, witness, conductor, floors, fracs)
+    return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
+                                 mold, floors, fracs)
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
@@ -217,15 +185,16 @@ def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
 
     Eager: the walk to the horizon runs before this returns.
     """
-    return _prefix_tables(mold, m).cert
+    cert = _prefix_tables(mold, m)
+    cert.horizon  # walks now
+    return cert
 
 
-def _discretize_at(tables: _PrefixTables, alpha) -> Discretization:
+def _discretize_at(cert: TruncationCertificate, alpha) -> Discretization:
     """The image at threshold alpha, which may be any exact value."""
-    head = tuple(_round(fl, frac, alpha) for fl, frac in zip(tables.floors, tables.fracs))
+    head = tuple(_round(fl, frac, alpha) for fl, frac in zip(cert.floors, cert.fracs))
     prefix, conductor = _key_of(sorted(set(head)))
-    return Discretization(tables.mold.name, tables.multiplicity, tables.prefix_end,
-                          conductor, prefix, alpha, head, tables)
+    return Discretization(conductor, prefix, cert, alpha, head)
 
 
 def discretize(mold: Mold, m: int, alpha) -> Discretization:
@@ -245,22 +214,21 @@ class AlphaInterval:
     The image set is constant for alpha in (lower, upper]; key is that set
     as (prefix, conductor), stored eagerly.  representative, the full
     discretization at alpha = upper with its index map, is built on first
-    access from the prefix tables the intervals of one sweep share.  The
-    distinguished pure-ceiling case is stored as the degenerate interval
-    [0, 0].  Endpoints are exact: fractional parts of scaled mold elements,
-    or the outer rationals 0 and 1.
+    access from certificate, the one record of the sweep's (mold, m) that
+    its intervals and their representatives share.  The distinguished
+    pure-ceiling case is stored as the degenerate interval [0, 0].
+    Endpoints are exact: fractional parts of scaled mold elements, or the
+    outer rationals 0 and 1.
     """
 
-    mold_name: str
-    multiplicity: int
     lower: ExactValue
     upper: ExactValue
     key: tuple
-    _tables: _PrefixTables = field(repr=False, compare=False)
+    certificate: TruncationCertificate = field(repr=False)
 
     @cached_property
     def representative(self) -> Discretization:
-        return _discretize_at(self._tables, self.upper)
+        return _discretize_at(self.certificate, self.upper)
 
     @property
     def is_ceiling_point(self) -> bool:
@@ -270,12 +238,6 @@ class AlphaInterval:
         if self.is_ceiling_point:
             return alpha == 0
         return certified_sign(self.lower, alpha) < 0 <= certified_sign(self.upper, alpha)
-
-
-def _rediscretize(interval: AlphaInterval, alpha: Rational) -> Discretization:
-    """discretize() of the interval's mold and multiplicity at another
-    threshold, reusing the prefix tables of the interval's sweep."""
-    return _discretize_at(interval._tables, alpha)
 
 
 def _breakpoint_key(fracs: tuple, live: list):
@@ -320,18 +282,17 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     are built only when a representative is read.  Returned sorted by lower
     endpoint, pure-ceiling interval first.
     """
-    tables = _prefix_tables(mold, m)
-    floors, fracs = tables.floors, tables.fracs
+    cert = _prefix_tables(mold, m)
+    floors, fracs = cert.floors, cert.fracs
     hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
     members = sorted(hits)
     key = _key_of(members)
-    name = mold.name
-    out = [AlphaInterval(name, m, _ZERO, _ZERO, key, tables)]
+    out = [AlphaInterval(_ZERO, _ZERO, key, cert)]
     prev = _ZERO
     live = [i for i, frac in enumerate(fracs) if frac is not None]
     order = sorted(live, key=_breakpoint_key(fracs, live))
     for frac, group in groupby(order, key=fracs.__getitem__):
-        out.append(AlphaInterval(name, m, prev, frac, key, tables))
+        out.append(AlphaInterval(prev, frac, key, cert))
         prev = frac
         changed = False
         for i in group:  # crossing this breakpoint: ceiling drops to floor
@@ -346,7 +307,7 @@ def alpha_sweep(mold: Mold, m: int) -> list:
             hits[fl] += 1
         if changed:
             key = _key_of(members)
-    out.append(AlphaInterval(name, m, prev, _ONE, key, tables))
+    out.append(AlphaInterval(prev, _ONE, key, cert))
     return out
 
 

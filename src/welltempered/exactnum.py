@@ -398,9 +398,12 @@ class LogValue:
                 return self + other._c
             if self._m == other._m:
                 return LogValue(self._m, self._n * other._n, self._c + other._c)
+            # arg**mult has more than mult*(bits(arg) - 1) bits; this bound on the
+            # product needs neither power, and when it passes both are under the gate
+            if sum(v._m * (v._n.bit_length() - 1) for v in (self, other)) + 1 > _MAX_ARG_BITS:
+                raise ValueError("sum too large to represent exactly")
             ps, po = self._power(), other._power()
-            # the product has at least this many bits
-            if ps is None or po is None or ps.bit_length() + po.bit_length() - 1 > _MAX_ARG_BITS:
+            if ps.bit_length() + po.bit_length() - 1 > _MAX_ARG_BITS:  # a tighter bound
                 raise ValueError("sum too large to represent exactly")
             return LogValue(1, ps * po, self._c + other._c)
         if isinstance(other, int) and not isinstance(other, bool):
@@ -422,12 +425,15 @@ class LogValue:
             return _log(1, 1, self._c * k, 1)
         return _log(self._m * k, self._n, self._c * k)
 
+    def _has_power(self) -> bool:
+        """Whether _power gives arg**mult: cached, or mult*bit_length(arg) <= _EXACT_POWER_BITS."""
+        return self._pow is not None or self._m * self._n.bit_length() <= _EXACT_POWER_BITS
+
     def _power(self) -> "int | None":
-        """arg**mult, cached; None if uncached and mult*bit_length(arg) > _EXACT_POWER_BITS."""
-        power = self._pow
-        if power is None and self._m * self._n.bit_length() <= _EXACT_POWER_BITS:
-            power = self._pow = self._n ** self._m
-        return power
+        """arg**mult, cached; None when not _has_power()."""
+        if self._pow is None and self._has_power():
+            self._pow = self._n ** self._m
+        return self._pow
 
     def floor(self) -> int:
         power = self._power()
@@ -489,13 +495,14 @@ def _log_order(x: LogValue, y: LogValue) -> int:
     x - y = log2(px) - log2(py) + d for the powers px, py and offset gap d;
     as 0 <= log2(p) < bit_length(p), a gap at least the opposite power's bit
     length decides alone.  Distinct canonical forms are never equal.  When
-    _power declines either power, enclosures decide instead.
+    _power would decline either power, enclosures decide instead, and
+    neither power is built.
     """
     if x._n == y._n and x._m == y._m:
         return (x._c > y._c) - (x._c < y._c)
-    px, py = x._power(), y._power()
-    if px is None or py is None:
+    if not (x._has_power() and y._has_power()):
         return certified_decision((x, y), _separation)
+    px, py = x._power(), y._power()
     d = x._c - y._c
     if d >= py.bit_length() or -d >= px.bit_length():
         return 1 if d > 0 else -1

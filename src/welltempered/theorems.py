@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .discretize import AlphaInterval, _rediscretize, alpha_sweep
+from .discretize import AlphaInterval, _discretize_at, alpha_sweep
 from .exactnum import (
     PrecisionBudgetExceeded,
     certified_sign,
@@ -177,7 +177,7 @@ def _region_alpha(region: AlphaInterval) -> Fraction:
 def _midpoint_recheck(region: AlphaInterval, key: tuple[tuple[int, ...], int]) -> None:
     # an independent re-rounding at an interior rational, on the
     # certificate the sweep already built
-    probe = _rediscretize(region, _region_alpha(region))
+    probe = _discretize_at(region.certificate, _region_alpha(region))
     if (probe.prefix, probe.conductor) != key:
         raise RuntimeError("sweep region failed its interior re-check")
 
@@ -265,8 +265,7 @@ def tail_certificate(m: int) -> TailCertificate:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < TAIL_START:
         raise ValueError(f"the analytic tail starts at multiplicity {TAIL_START}")
-    lmold = metric_mold()
-    fmold = golden_fractal_mold()
+    lmold, fmold = _SEARCH_MOLDS
     third_l = scale(lmold.element(3), m)
     third_f = scale(fmold.element(3), m)
     if not (exact_is_integer(third_l) and exact_floor(third_l) == 2 * m):
@@ -306,8 +305,7 @@ def h_uniqueness() -> UniquenessReport:
         raise RuntimeError("expected a single simultaneous match at multiplicity 12")
     match = matches[0]
     s = match.semigroup
-    lmold = metric_mold()
-    fmold = golden_fractal_mold()
+    lmold, fmold = _SEARCH_MOLDS
     fourth_l = scale(lmold.element(4), 12)
     fourth_f = scale(fmold.element(4), 12)
     frac_l4 = exact_frac(fourth_l)

@@ -40,6 +40,7 @@ from welltempered.molds import (
     metric_mold,
     mold_q,
 )
+from welltempered.semigroups import from_discretization
 
 H_PREFIX = (0, 12, 19, 24, 28, 31, 34, 36, 38, 40, 42, 43)
 
@@ -65,8 +66,8 @@ def test_metric_twelve_flooring_differs():
     d = discretize(L, 12, 1)
     assert d.prefix == (0, 12, 19, 24, 27, 31, 33, 36, 38, 39, 41, 43, 44, 45, 46)
     assert d.conductor == 48
-    assert not d.contains(47)
-    assert d.contains(48)
+    assert 47 not in from_discretization(d)
+    assert 48 in from_discretization(d)
 
 
 def test_sixteen_q_same_under_nearest_and_flooring():
@@ -163,11 +164,11 @@ def test_sweep_and_discretize_check_the_first_certified_step():
 
 
 def test_discretization_membership_helpers():
-    d = discretize(F, 12, 1)
-    assert d.contains(0) and d.contains(43) and d.contains(100)
-    assert not d.contains(44) and not d.contains(11)
-    assert d.members_below(20) == [0, 12, 19]
-    assert d.members_below(47)[-3:] == [43, 45, 46]
+    s = from_discretization(discretize(F, 12, 1))
+    assert 0 in s and 43 in s and 100 in s
+    assert 44 not in s and 11 not in s
+    assert s.elements_below(20) == [0, 12, 19]
+    assert s.elements_below(47)[-3:] == [43, 45, 46]
 
 
 def test_sweep_interval_chain_and_count():
@@ -262,7 +263,7 @@ def test_constancy_inside_intervals():
 def test_crossing_breakpoint_flips_matching_indices():
     for mold, m in ((F, 12), (L, 11)):
         sweep = alpha_sweep(mold, m)
-        n_end = sweep[1].representative.prefix_end
+        n_end = sweep[1].representative.certificate.prefix_end
         for below, above in zip(sweep[1:], sweep[2:]):
             b = above.lower  # the breakpoint being crossed
             flipped = [i for i in range(n_end + 1)
@@ -285,7 +286,7 @@ def test_conductor_soundness_with_margin():
         for iv in alpha_sweep(mold, m):
             rep = iv.representative
             for n in range(rep.conductor, rep.conductor + 2 * m + 1):
-                assert rep.contains(n)
+                assert n in from_discretization(rep)
 
 
 def test_ceiling_minus_floor_is_zero_or_one():
@@ -300,7 +301,7 @@ def test_values_monotone_with_small_tail_steps():
         for alpha in (0, Fraction(1, 3), 1):
             d = discretize(mold, m, alpha)
             assert all(a <= b for a, b in zip(d.values, d.values[1:]))
-            tail = d.values[d.prefix_end:]
+            tail = d.values[d.certificate.prefix_end:]
             assert all(b - a <= 1 for a, b in zip(tail, tail[1:]))
 
 
@@ -324,7 +325,8 @@ def test_multiplicity_one_gives_all_naturals():
     for mold in (L, F):
         d = discretize(mold, 1, 1)
         assert d.conductor <= 1
-        assert d.contains(0) and d.contains(1) and d.contains(2)
+        s = from_discretization(d)
+        assert 0 in s and 1 in s and 2 in s
 
 
 def _floor_rule(splits, alpha):
@@ -348,8 +350,26 @@ def test_every_interval_matches_direct_discretization(mold, ms):
             rep = iv.representative
             assert (rep.prefix, rep.conductor) == iv.key
             assert list(rep.values) == _floor_rule(splits, iv.upper)
-        assert sweep[0].representative == discretize(mold, m, 0)
-        assert sweep[-1].representative == discretize(mold, m, 1)
+        for rep, alpha in ((sweep[0].representative, 0), (sweep[-1].representative, 1)):
+            d = discretize(mold, m, alpha)
+            assert rep == d and hash(rep) == hash(d)
+
+
+def test_one_sweep_shares_one_certificate():
+    for m in (1, 12, 34):
+        sweeps = []
+        for mold in (L, F):
+            sweep = alpha_sweep(mold, m)
+            cert = sweep[0].certificate
+            assert all(iv.certificate is cert for iv in sweep)
+            assert all(iv.representative.certificate is cert for iv in sweep)
+            assert cert == truncation_certificate(mold, m)
+            assert (cert.mold_name, cert.multiplicity) == (mold.name, m)
+            sweeps.append(sweep)
+        # the certificate tells the molds' intervals apart, in equality and in hashing
+        lsweep, fsweep = sweeps
+        assert not any(a == b for a in lsweep for b in fsweep), m
+        assert len(set(lsweep) | set(fsweep)) == len(lsweep) + len(fsweep), m
 
 
 def _record_reads(mold) -> list:

@@ -574,6 +574,25 @@ def test_log_sums_and_perfect_powers_stay_bounded():
     assert LogValue(1, 2 ** 5000 * 9) == LogValue(2, 3, 5000)  # only the odd part counts
 
 
+def test_log_orders_and_sums_check_both_sizes_before_building_a_power():
+    # 3**500000 is under the power gate and 5**(10**9) past it; neither an
+    # order nor a sum that cannot use both powers builds the one it could
+    for swap in (False, True):
+        x, y = LogValue(500000, 3), LogValue(10 ** 9, 5)
+        if swap:
+            x, y = y, x
+        below = x < y
+        assert x._pow is None and y._pow is None
+        assert below is not swap and certified_sign(x, y) == (1 if swap else -1)
+    for swap in (False, True):
+        x, y = LogValue(500000, 3), LogValue(2, 5)
+        if swap:
+            x, y = y, x
+        with pytest.raises(ValueError, match="^sum too large to represent exactly$"):
+            x + y
+        assert x._pow is None and y._pow is None
+
+
 def test_hostile_log_floors_are_decided_on_enclosures():
     # 3**(10**7) and 3**(10**8) are never built
     half = Fraction(1, 2)
