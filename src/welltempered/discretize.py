@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, groupby, islice
+from itertools import count, groupby, islice, takewhile
 
 from .exactnum import (
     ExactValue,
@@ -261,6 +261,36 @@ def _breakpoint_key(fracs: tuple, live: list):
     return keys.__getitem__
 
 
+def _crossings(floors, fracs):
+    """(members, crossings): the sorted image at pure ceiling, and the pass moving it.
+
+    Crossing each distinct nonzero fractional part, in increasing order,
+    moves its indices from ceiling to floor, which updates a hit count per
+    integer and, when a count reaches or leaves zero, members in place;
+    crossings yields (frac, changed) after each.
+    """
+    hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
+    members = sorted(hits)
+    live = [i for i, frac in enumerate(fracs) if frac is not None]
+    order = sorted(live, key=_breakpoint_key(fracs, live))
+
+    def crossings():
+        for frac, group in groupby(order, key=fracs.__getitem__):
+            changed = False
+            for i in group:
+                fl = floors[i]
+                hits[fl + 1] -= 1
+                if not hits[fl + 1]:
+                    del members[bisect_left(members, fl + 1)]
+                    changed = True
+                if not hits[fl]:
+                    insort(members, fl)
+                    changed = True
+                hits[fl] += 1
+            yield frac, changed
+    return members, crossings()
+
+
 def alpha_sweep(mold: Mold, m: int) -> list:
     """All distinct discretizations of m * mold, as threshold intervals.
 
@@ -274,41 +304,41 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     at alpha = upper.  The horizon is computed on first read, once for the
     whole sweep.
 
-    One pass over the sorted breakpoints, starting from pure ceiling: a
-    crossing moves each index of its group from its ceiling to its floor,
-    which updates a hit count per integer and, when a count reaches or
-    leaves zero, the sorted distinct values.  Each interval stores its key
-    (the previous interval's tuple when the set did not change); index maps
-    are built only when a representative is read.  Returned sorted by lower
-    endpoint, pure-ceiling interval first.
+    One pass of _crossings over the sorted breakpoints, starting from pure
+    ceiling.  Each interval stores its key (the previous interval's tuple
+    when the set did not change); index maps are built only when a
+    representative is read.  Returned sorted by lower endpoint,
+    pure-ceiling interval first.
     """
     cert = _prefix_tables(mold, m)
-    floors, fracs = cert.floors, cert.fracs
-    hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
-    members = sorted(hits)
+    members, crossings = _crossings(cert.floors, cert.fracs)
     key = _key_of(members)
     out = [AlphaInterval(_ZERO, _ZERO, key, cert)]
     prev = _ZERO
-    live = [i for i, frac in enumerate(fracs) if frac is not None]
-    order = sorted(live, key=_breakpoint_key(fracs, live))
-    for frac, group in groupby(order, key=fracs.__getitem__):
+    for frac, changed in crossings:
         out.append(AlphaInterval(prev, frac, key, cert))
         prev = frac
-        changed = False
-        for i in group:  # crossing this breakpoint: ceiling drops to floor
-            fl = floors[i]
-            hits[fl + 1] -= 1
-            if not hits[fl + 1]:
-                del members[bisect_left(members, fl + 1)]
-                changed = True
-            if not hits[fl]:
-                insort(members, fl)
-                changed = True
-            hits[fl] += 1
         if changed:
             key = _key_of(members)
     out.append(AlphaInterval(prev, _ONE, key, cert))
     return out
+
+
+def _truncated_images(mold: Mold, m: int, bound: int, splits: list) -> set:
+    """Every image & [0, bound) of m * mold over alpha in [0, 1], as sorted tuples.
+
+    Only elements with floor(m * mu_i) < bound enter (bound >= 1 keeps
+    mu_0 = 0): one at or above bound rounds to at least bound.  splits, the
+    _split(m * mu_i) of the leading indices, is extended as far as read, so
+    a caller raising bound for one (mold, m) splits each element once.
+    """
+    while not splits or splits[-1][0] < bound:
+        splits.append(_split(scale(mold.element(len(splits)), m)))
+    floors, fracs = zip(*takewhile(lambda s: s[0] < bound, splits))
+    members, crossings = _crossings(floors, fracs)
+    images = {tuple(members)}
+    images.update(tuple(members) for _, changed in crossings if changed)
+    return {image[:bisect_left(image, bound)] for image in images}
 
 
 def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:

@@ -695,9 +695,12 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
         if type(x) is LogValue or type(y) is LogValue:
             return certified_decision((x, y), _separation)
     if type(x) is GoldenNumber:
+        if type(y) is Fraction and type(x._a) is int and type(x._b) is int:
+            q = y.denominator  # q*x - q*y in integers, for the _round hot path
+            return _sign_a_b_tau(q * x._a - y.numerator, q * x._b)
         return (x - y).sign()
     if type(y) is GoldenNumber:
-        return -(y - x).sign()
+        return -certified_sign(y, x)
     if not (is_exact_value(x) and is_exact_value(y)):
         raise TypeError("certified_sign needs exact values")
     return (x > y) - (x < y)

@@ -2,12 +2,14 @@
 
 A multiplicity m is simultaneously discretizable when some rounding
 threshold for the metric mold and some threshold for the golden mold
-produce the same numerical semigroup.  Each side only admits finitely
-many images, so the search enumerates both alpha sweeps, merges adjacent
-regions with equal images, pairs the regions that agree, and re-verifies
-every emitted match from scratch at an interior rational threshold.  An
-analytic certificate settles all multiplicities above a fixed bound, so
-feasibility is decided everywhere.
+produce the same numerical semigroup.  The search first compares the
+images below a small bound, as the paper's deduction does: when no
+truncation of one mold's images equals one of the other's, m has no
+match.  Only the m that survive enumerate both full alpha sweeps, merge
+adjacent regions with equal images, pair the regions that agree, and
+re-verify every emitted match from scratch at an interior rational
+threshold.  An analytic certificate settles all multiplicities above a
+fixed bound, so feasibility is decided everywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .discretize import AlphaInterval, _discretize_at, alpha_sweep
+from .discretize import AlphaInterval, _discretize_at, _truncated_images, alpha_sweep
 from .exactnum import (
     PrecisionBudgetExceeded,
     certified_sign,
@@ -187,11 +189,28 @@ def _midpoint_recheck(region: AlphaInterval, key: tuple[tuple[int, ...], int]) -
 _SEARCH_MOLDS = (metric_mold(), golden_fractal_mold())
 
 
-# Bounded, but large enough for one census up to the CLI's bound (34), so
-# a second census in the same process reads every m from the cache.
-@lru_cache(maxsize=64)
-def _search(m: int) -> tuple[SimultaneousMatch, ...]:
-    lmold, fmold = _SEARCH_MOLDS
+_LADDER = (5, 10, 20)  # the k of _exclusion's bounds
+
+
+def _exclusion(lmold: Mold, fmold: Mold, m: int) -> tuple[int, int, int, int] | None:
+    """Evidence that m has no match, (k, B, truncations per side), or None.
+
+    At each k of _LADDER, B = floor(m * mu_k) of lmold.  A match has equal
+    images, hence equal truncations below B, so m is excluded at the first
+    B where the two molds' sets of truncations are disjoint.
+    """
+    splits_l, splits_f = [], []
+    for k in _LADDER:
+        bound = exact_floor(scale(lmold.element(k), m))
+        images_l = _truncated_images(lmold, m, bound, splits_l)
+        images_f = _truncated_images(fmold, m, bound, splits_f)
+        if images_l.isdisjoint(images_f):
+            return k, bound, len(images_l), len(images_f)
+    return None
+
+
+def _matches(lmold: Mold, fmold: Mold, m: int) -> tuple[SimultaneousMatch, ...]:
+    """The unpruned matcher: both full merged sweeps, paired by equal keys."""
     regions_l = _merged_regions(lmold, m)
     regions_f = _merged_regions(fmold, m)
     partners: dict[tuple, list[AlphaInterval]] = {}
@@ -223,19 +242,31 @@ def _search(m: int) -> tuple[SimultaneousMatch, ...]:
     return tuple(matches)
 
 
+# Bounded, but large enough for one census up to the CLI's bound (34), so
+# a second census in the same process reads every m from the cache.
+@lru_cache(maxsize=64)
+def _search(m: int) -> tuple[SimultaneousMatch, ...]:
+    """_matches for the m that survive _exclusion; no match for the rest."""
+    return () if _exclusion(*_SEARCH_MOLDS, m) else _matches(*_SEARCH_MOLDS, m)
+
+
 def simultaneous_search(m: int) -> list[SimultaneousMatch]:
     """All verified ways both molds discretize to one semigroup at m.
 
     Matches are ordered by ascending metric-side region, then ascending
     golden-side region.  Every match has been re-discretized at an
-    interior rational of each region and closure-verified.
+    interior rational of each region and closure-verified.  An m that
+    _exclusion rules out comes back empty without a full sweep.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     return list(_search(m))
 
 
 def multiplicity_census(m_max: int) -> set[int]:
-    """The multiplicities up to m_max with at least one simultaneous match."""
+    """The multiplicities up to m_max with at least one simultaneous match.
+
+    Up to 34, only 1..15 and 18 survive _exclusion to be swept in full.
+    """
     _check_multiplicity(m_max, "m_max must be a positive integer")
     return {m for m in range(1, m_max + 1) if _search(m)}
 

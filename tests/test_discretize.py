@@ -27,6 +27,7 @@ from welltempered.discretize import (
     AlphaInterval,
     _breakpoint_key,
     _prefix_tables,
+    _truncated_images,
     alpha_sweep,
     discretize,
     interval_for_alpha,
@@ -402,6 +403,21 @@ def test_sweep_reads_only_the_certified_prefix(make, m):
     splits = [(exact_floor(s), None if exact_is_integer(s) else exact_frac(s)) for s in scaled]
     for iv, rep in ((sweep[0], first), (sweep[-1], last)):
         assert list(rep.values) == _floor_rule(splits, iv.upper)
+
+
+@pytest.mark.parametrize("mold, m", [(L, 12), (L, 18), (F, 12), (F, 34), (Q, 19)],
+                         ids=["L12", "L18", "F12", "F34", "Q19"])
+def test_truncated_images_are_the_sweep_images_below_the_bound(mold, m):
+    sweep = alpha_sweep(mold, m)
+    splits = []
+    for bound in (1, 2 * m, 3 * m, sweep[0].certificate.conductor + 3):
+        expected = {tuple(v for v in (*iv.key[0], *range(iv.key[1], bound)) if v < bound)
+                    for iv in sweep}
+        assert _truncated_images(mold, m, bound, splits) == expected
+        assert splits[-1][0] >= bound and all(fl < bound for fl, _ in splits[:-1])
+    grown = len(splits)
+    _truncated_images(mold, m, 2 * m, splits)
+    assert len(splits) == grown  # a lower bound splits nothing new
 
 
 def test_equal_fractional_parts_flip_in_one_crossing():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import welltempered
+from welltempered import exactnum
 from welltempered.exactnum import (
     TAU,
     _EXACT_POWER_BITS,
@@ -94,6 +95,22 @@ def test_golden_compare_matches_high_precision():
         assert certified_sign(x, y) == expected
         checked += 1
     assert checked >= 9_990
+
+
+def test_golden_against_fraction_takes_the_integer_path(monkeypatch):
+    # int-coefficient golden numbers against p/q, in both argument orders,
+    # agree with the sign of the difference without clearing denominators
+    grid = [(GoldenNumber(a, b), Fraction(p, q))
+            for a in range(-6, 7) for b in range(-4, 5)
+            for q in (1, 2, 3, 7) for p in range(-6 * q, 6 * q + 1)]
+    expected = [(x - y).sign() for x, y in grid]
+    assert expected.count(0) == 13 * 4  # b = 0 and a = p/q, for every a and q
+
+    def no_clearing(*args):
+        raise AssertionError("_cleared called on the integer path")
+    monkeypatch.setattr(exactnum, "_cleared", no_clearing)
+    assert [certified_sign(x, y) for x, y in grid] == expected
+    assert [certified_sign(y, x) for x, y in grid] == [-e for e in expected]
 
 
 def test_golden_floor_basics():

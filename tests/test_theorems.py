@@ -1,14 +1,15 @@
 """Simultaneous-discretization search, censuses, tail certificate, uniqueness."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from welltempered import theorems
-from welltempered.cli import SEARCH_BOUND, main
+from welltempered.cli import _M_RANGE, SEARCH_BOUND, main
 from welltempered.discretize import alpha_sweep, discretize
 from welltempered.exactnum import GoldenNumber, LogValue, PrecisionBudgetExceeded, certified_sign
-from welltempered.molds import golden_fractal_mold, metric_mold
+from welltempered.molds import golden_fractal_mold, metric_mold, mold_d, mold_q
 from welltempered.semigroups import collapse, even_filterable_semigroup, from_discretization
 from welltempered.theorems import (
     EVEN_FILTERABLE_MULTIPLICITIES,
@@ -21,7 +22,7 @@ from welltempered.theorems import (
     simultaneous_search,
     tail_certificate,
 )
-from welltempered.theorems import _merged_regions
+from welltempered.theorems import _exclusion, _matches, _merged_regions
 
 L = metric_mold()
 F = golden_fractal_mold()
@@ -261,3 +262,62 @@ def test_search_cache_is_bounded_above_the_cli_census():
     misses = theorems._search.cache_info().misses
     even_filterable_census(SEARCH_BOUND)
     assert theorems._search.cache_info().misses == misses
+
+
+# (molds, largest m) for the differential oracle of the pruned search
+ORACLE_PAIRS = (((L, F), 60), ((L, mold_q()), 34), ((F, mold_d()), 34))
+
+
+def _oracle_disagreements() -> list:
+    """("L/F"-style pair name, m) where the pruned and unpruned searches differ.
+
+    An excluded m must have no shared key between the two full merged
+    sweeps and no unpruned match; for L/F, _search must return the
+    unpruned matcher's matches at every m.
+    """
+    found = []
+    for molds, m_max in ORACLE_PAIRS:
+        pair = "/".join(mold.name for mold in molds)
+        for m in range(1, m_max + 1):
+            unpruned = _matches(*molds, m)
+            if _exclusion(*molds, m) is not None:
+                keys_l = {region.key for region in _merged_regions(molds[0], m)}
+                if unpruned or any(region.key in keys_l
+                                   for region in _merged_regions(molds[1], m)):
+                    found.append((pair, m))
+            if molds == theorems._SEARCH_MOLDS and theorems._search(m) != unpruned:
+                found.append((pair, m))
+    return found
+
+
+def test_pruned_search_agrees_with_the_unpruned_matcher():
+    assert _oracle_disagreements() == []
+
+
+def test_oracle_catches_an_always_disjoint_exclusion(monkeypatch):
+    # tag each truncation with its mold, so the two sets never meet
+    truncated = theorems._truncated_images
+    monkeypatch.setattr(theorems, "_truncated_images", lambda mold, *args: {
+        (mold.name, image) for image in truncated(mold, *args)})
+    theorems._search.cache_clear()
+    try:
+        assert ("L/F", 12) in _oracle_disagreements()
+    finally:
+        theorems._search.cache_clear()  # drop the empty results cached above
+
+
+def test_exclusion_evidence():
+    # (k, B, truncations of L below B, truncations of F below B)
+    assert _exclusion(L, F, 34) == (5, 87, 3, 3)
+    assert _exclusion(L, F, 16) == (20, 70, 10, 10)
+    survivors = {m for m in range(1, 35) if _exclusion(L, F, m) is None}
+    assert survivors == set(range(1, 16)) | {18}
+    assert FEASIBLE_MULTIPLICITIES <= survivors
+
+
+def test_census_to_1000_cross_checks_the_tail():
+    # a sweep-based cross-check; the analytic tail stays the proof
+    start = time.perf_counter()
+    assert multiplicity_census(1000) == FEASIBLE_MULTIPLICITIES
+    assert time.perf_counter() - start < 30.0
+    assert simultaneous_search(_M_RANGE[-1]) == []  # the --m ceiling
