@@ -18,8 +18,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .discretize import discretize
 from .exactnum import PrecisionBudgetExceeded, scale
@@ -62,8 +62,7 @@ _COUNT_RANGE = range(1, 10001)
 _PLACES_RANGE = range(0, 13)  # --precision and --depth
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """One command's output in every format, and its exit code.
 
     `csv` holds rows of fields; `main` writes them with `csv.writer`, which

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, groupby, islice, takewhile
+from operator import attrgetter
 
 from .exactnum import (
     ExactValue,
@@ -43,7 +43,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class TruncationCertificate:
     """Evidence that a discretized mold is cofinite, and the split prefix it rests on.
 
@@ -58,16 +57,46 @@ class TruncationCertificate:
     (mold, m) all hold this one record.  horizon, walked on first read, is
     the last index of a finite exact re-check of the step inequality
     (chosen so consumers of index maps see the run reach conductor + 2m).
+    Two certificates are equal when their mold name, multiplicity, prefix
+    end, conductor and witness agree; mold, floors and fracs do not count.
     """
 
-    mold_name: str
-    multiplicity: int
-    prefix_end: int
-    conductor: int
-    witness: str
-    mold: Mold = field(repr=False, compare=False)
-    floors: tuple = field(repr=False, compare=False)
-    fracs: tuple = field(repr=False, compare=False)
+    def __init__(self, mold_name: str, multiplicity: int, prefix_end: int, conductor: int,
+                 witness: str, mold: Mold, floors: tuple, fracs: tuple):
+        self._mold_name = mold_name
+        self._multiplicity = multiplicity
+        self._prefix_end = prefix_end
+        self._conductor = conductor
+        self._witness = witness
+        self._mold = mold
+        self._floors = floors
+        self._fracs = fracs
+
+    mold_name = property(attrgetter("_mold_name"))
+    multiplicity = property(attrgetter("_multiplicity"))
+    prefix_end = property(attrgetter("_prefix_end"))
+    conductor = property(attrgetter("_conductor"))
+    witness = property(attrgetter("_witness"))
+    mold = property(attrgetter("_mold"))
+    floors = property(attrgetter("_floors"))
+    fracs = property(attrgetter("_fracs"))
+
+    def _fields(self) -> tuple:
+        return (self._mold_name, self._multiplicity, self._prefix_end, self._conductor,
+                self._witness)
+
+    def __repr__(self) -> str:
+        return (f"TruncationCertificate(mold_name={self._mold_name!r}, "
+                f"multiplicity={self._multiplicity}, prefix_end={self._prefix_end}, "
+                f"conductor={self._conductor}, witness={self._witness!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncationCertificate):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @cached_property
     def horizon(self) -> int:
@@ -107,7 +136,6 @@ def _key_of(members: list) -> tuple:
     return tuple(members[:lo]), members[lo]
 
 
-@dataclass(frozen=True, eq=False)
 class Discretization:
     """One discretized image: its cofinite shape, with the index map on demand.
 
@@ -120,13 +148,24 @@ class Discretization:
     from the mold.  iter_values() goes on past the prefix without a horizon
     and without storing anything.  The index map is kept because collapse
     detection needs to know which mold indices landed on the same integer.
+    Two discretizations are equal when their certificates, conductors,
+    prefixes and index maps agree.
     """
 
-    conductor: int
-    prefix: tuple
-    certificate: TruncationCertificate = field(repr=False)
-    _alpha: ExactValue = field(repr=False)
-    _head: tuple = field(repr=False)
+    def __init__(self, conductor: int, prefix: tuple, certificate: TruncationCertificate,
+                 alpha: ExactValue, head: tuple):
+        self._conductor = conductor
+        self._prefix = prefix
+        self._certificate = certificate
+        self._alpha = alpha
+        self._head = head
+
+    conductor = property(attrgetter("_conductor"))
+    prefix = property(attrgetter("_prefix"))
+    certificate = property(attrgetter("_certificate"))
+
+    def __repr__(self) -> str:
+        return f"Discretization(conductor={self._conductor}, prefix={self._prefix!r})"
 
     @property
     def horizon(self) -> int:
@@ -145,7 +184,7 @@ class Discretization:
         return tuple(islice(self.iter_values(), self.horizon + 1))
 
     def _fields(self) -> tuple:
-        return (self.certificate, self.conductor, self.prefix, self.values)
+        return (self._certificate, self._conductor, self._prefix, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Discretization):
@@ -153,7 +192,7 @@ class Discretization:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((self.certificate, self.conductor, self.prefix))
+        return hash((self._certificate, self._conductor, self._prefix))
 
 
 def _check_step(mold: Mold, i: int, current, following) -> None:
@@ -207,7 +246,6 @@ def discretize(mold: Mold, m: int, alpha) -> Discretization:
     return _discretize_at(_prefix_tables(mold, m), alpha)
 
 
-@dataclass(frozen=True)
 class AlphaInterval:
     """A maximal-by-construction run (lower, upper] of equal image sets.
 
@@ -218,13 +256,35 @@ class AlphaInterval:
     its intervals and their representatives share.  The distinguished
     pure-ceiling case is stored as the degenerate interval [0, 0].
     Endpoints are exact: fractional parts of scaled mold elements, or the
-    outer rationals 0 and 1.
+    outer rationals 0 and 1.  Two intervals are equal when their endpoints,
+    keys and certificates agree.
     """
 
-    lower: ExactValue
-    upper: ExactValue
-    key: tuple
-    certificate: TruncationCertificate = field(repr=False)
+    def __init__(self, lower: ExactValue, upper: ExactValue, key: tuple,
+                 certificate: TruncationCertificate):
+        self._lower = lower
+        self._upper = upper
+        self._key = key
+        self._certificate = certificate
+
+    lower = property(attrgetter("_lower"))
+    upper = property(attrgetter("_upper"))
+    key = property(attrgetter("_key"))
+    certificate = property(attrgetter("_certificate"))
+
+    def _fields(self) -> tuple:
+        return (self._lower, self._upper, self._key, self._certificate)
+
+    def __repr__(self) -> str:
+        return f"AlphaInterval(lower={self._lower!r}, upper={self._upper!r}, key={self._key!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, AlphaInterval):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @cached_property
     def representative(self) -> Discretization:

@@ -2,9 +2,9 @@
 
 ``GoldenNumber`` is the ring Z[tau], tau = (sqrt(5) - 1)/2, with a total
 order decided purely by integer sign analysis.  ``LogValue`` is an
-unevaluated m*log2(n) + c, floored and ordered against another log by
-exact integer powers n**m up to a size gate, and past it or against a
-rational through certified enclosures.
+unevaluated m*log2(n) + c, floored and ordered against another log or a
+small-denominator rational by exact integer powers n**m up to a size gate,
+and past it through certified enclosures.
 ``fractions.Fraction`` covers the rational family.  Floats never decide
 anything: certified enclosures are built from integer square roots and
 interval squaring.
@@ -331,7 +331,9 @@ class LogValue:
     Equality is therefore structural (an integer-valued log also equals its
     int, Fraction or GoldenNumber).  Floors and _log_order use arg**mult from
     _power, cached per (mult, arg) and declined past _EXACT_POWER_BITS, where
-    enclosures decide instead; rationals go to certified_sign.
+    enclosures decide instead.  A rational goes to certified_sign, which
+    orders a small denominator exactly through _log_order and a large one
+    through enclosures.
     """
 
     __slots__ = ("_m", "_n", "_c", "_pow")
@@ -682,8 +684,10 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
 
     Exact for Z[tau] against Z[tau] or a rational, for integer-valued logs,
     and for two logs (_log_order, as LogValue's operators).  A non-integer
-    log against a rational or a golden number is never equal to it and is
-    ordered by certified_decision.
+    log v = m*log2(n) + c is never equal to a rational or a golden number.
+    Against a rational p/q with m*q*bit_length(n) <= PREC_BUDGET_BITS it is
+    ordered exactly, as the log q*v against the integer log p by _log_order;
+    against a larger denominator or a golden number, by certified_decision.
     """
     if type(x) is LogValue or type(y) is LogValue:
         if type(x) is type(y):
@@ -693,6 +697,13 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
         if type(y) is LogValue and y._n == 1:
             y = y._c
         if type(x) is LogValue or type(y) is LogValue:
+            flip = type(y) is LogValue
+            v, r = (y, x) if flip else (x, y)
+            if ((type(r) is int or type(r) is Fraction)
+                    and v._m * r.denominator * v._n.bit_length() <= PREC_BUDGET_BITS):
+                # q*v against p, for r = p/q, is the order of two logs
+                order = _log_order(v.scaled(r.denominator), _log(1, 1, r.numerator, 1))
+                return -order if flip else order
             return certified_decision((x, y), _separation)
     if type(x) is GoldenNumber:
         if type(y) is Fraction and type(x._a) is int and type(x._b) is int:

@@ -11,9 +11,9 @@ the checked bound and, on failure, the smallest lexicographic witness.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     TAU,
@@ -32,8 +32,7 @@ class SpacingCertificateError(ValueError):
     """Raised when a mold cannot certify a spacing bound for truncation."""
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Outcome of a prefix-bounded mold property check."""
 
     property: str  # "mold-axioms" | "metric" | "fractal" | "even-filterable"
@@ -47,16 +46,15 @@ class PropertyReport:
         return self.verdict == "holds-on-prefix"
 
 
-@dataclass(frozen=True)
 class PeriodSpec:
     """First period of a fractal mold: cut values 1 = c_0 < c_1 < ... < 2.
 
     All cuts must live in a single exact family: rational, or the golden
     ring Z[tau].  Mixing unrelated irrationals is rejected because the
-    generation rule multiplies cut offsets.
+    generation rule multiplies cut offsets.  Specs with equal cuts are equal.
     """
 
-    cuts: tuple
+    __slots__ = ("_cuts",)
 
     def __init__(self, cuts: Sequence[CutValue]):
         raw = []
@@ -81,7 +79,20 @@ class PeriodSpec:
                 raise ValueError("cuts must be strictly increasing")
         if not norm[-1] < 2:
             raise ValueError("cuts must stay below 2")
-        object.__setattr__(self, "cuts", tuple(norm))
+        self._cuts = tuple(norm)
+
+    cuts = property(attrgetter("_cuts"))
+
+    def __repr__(self) -> str:
+        return f"PeriodSpec(cuts={self._cuts!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodSpec):
+            return NotImplemented
+        return self._cuts == other._cuts
+
+    def __hash__(self):
+        return hash(self._cuts)
 
     @property
     def granularity(self) -> int:
@@ -540,8 +551,7 @@ def _iv_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> tuple
     return (min(products), max(products))
 
 
-@dataclass(frozen=True)
-class UniquenessCertificate:
+class UniquenessCertificate(NamedTuple):
     """Exact evidence that tau is the only granularity-2 proportion in (1/2, 1).
 
     The closure constraint 2*(1+p) in M forces one of three polynomials to
@@ -612,8 +622,7 @@ def uniqueness_certificate() -> UniquenessCertificate:
     )
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     grid_step: Fraction
     prefix: int
     tolerance: Fraction

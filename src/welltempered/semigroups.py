@@ -14,24 +14,42 @@ half-closed-pipe condition.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .discretize import Discretization, _key_of
 from .molds import PropertyReport, _pair_sums
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup:
     """Cofinite additive submonoid of the naturals, canonical form.
 
     prefix holds the members strictly below conductor; every integer at or
-    beyond conductor is a member. The conductor is minimal, so equality of
-    the dataclass fields is equality of the underlying sets. Elements are
-    indexed s_0 = 0 < s_1 < s_2 < ... across prefix and tail.
+    beyond conductor is a member. The conductor is minimal, so two
+    semigroups are equal, and hash alike, exactly when their prefix and
+    conductor agree, which is equality of the underlying sets. Elements
+    are indexed s_0 = 0 < s_1 < s_2 < ... across prefix and tail.
     """
 
-    prefix: tuple
-    conductor: int
+    __slots__ = ("_prefix", "_conductor")
+
+    def __init__(self, prefix: tuple, conductor: int):
+        self._prefix = prefix
+        self._conductor = conductor
+
+    prefix = property(attrgetter("_prefix"))
+    conductor = property(attrgetter("_conductor"))
+
+    def __repr__(self) -> str:
+        return f"NumericalSemigroup(prefix={self._prefix!r}, conductor={self._conductor!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, NumericalSemigroup):
+            return NotImplemented
+        return self._prefix == other._prefix and self._conductor == other._conductor
+
+    def __hash__(self):
+        return hash((self._prefix, self._conductor))
 
     def __contains__(self, n) -> bool:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -110,8 +128,7 @@ def genus_multiplicity(s: NumericalSemigroup):
     return gaps, len(gaps), s.element(1)
 
 
-@dataclass(frozen=True)
-class CollapseRecord:
+class CollapseRecord(NamedTuple):
     """Smallest integer hit by two consecutive discretized mold indices."""
 
     kappa: int

@@ -14,9 +14,9 @@ fixed bound, so feasibility is decided everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .discretize import AlphaInterval, _discretize_at, _truncated_images, alpha_sweep
 from .exactnum import (
@@ -45,8 +45,7 @@ from .semigroups import (
 )
 
 
-@dataclass(frozen=True)
-class SimultaneousMatch:
+class SimultaneousMatch(NamedTuple):
     """One semigroup realized by both molds, with the threshold regions.
 
     even_filterable is each side's verdict, read at its region's upper end
@@ -63,8 +62,7 @@ class SimultaneousMatch:
     even_filterable: tuple[PropertyReport, PropertyReport]
 
 
-@dataclass(frozen=True)
-class TailCertificate:
+class TailCertificate(NamedTuple):
     """Analytic infeasibility witness for a multiplicity and all larger ones."""
 
     m: int
@@ -73,8 +71,7 @@ class TailCertificate:
     detail: str
 
 
-@dataclass(frozen=True)
-class ConstraintStep:
+class ConstraintStep(NamedTuple):
     """One replayed deduction in the uniqueness argument."""
 
     constraint: str
@@ -83,8 +80,7 @@ class ConstraintStep:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """The unique multiplicity-12 match plus its derivation trace."""
 
     match: SimultaneousMatch
@@ -96,8 +92,7 @@ class UniquenessReport:
         return self.match.semigroup
 
 
-@dataclass(frozen=True)
-class ReferenceMatch:
+class ReferenceMatch(NamedTuple):
     """A known threshold pair and the leading elements of its semigroup."""
 
     alpha_L: Fraction
@@ -164,7 +159,7 @@ def _merged_regions(mold: Mold, m: int) -> list[AlphaInterval]:
     for iv in intervals[1:]:
         last = regions[-1]
         if not last.is_ceiling_point and iv.key == last.key:
-            regions[-1] = replace(iv, lower=last.lower)
+            regions[-1] = AlphaInterval(last.lower, iv.upper, iv.key, iv.certificate)
         else:
             regions.append(iv)
     return regions

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +335,15 @@ def test_integer_flags_are_bounded_at_parse_time(capsys):
                  ["mold", "show", "--mold", "F", "--count", "10000"]):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out, argv
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # every command starts a fresh interpreter; site may load unrelated
+    # modules first, so only the modules the import adds count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import welltempered.cli; print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    added = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "welltempered.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added

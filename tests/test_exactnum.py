@@ -13,6 +13,7 @@ import pytest
 import welltempered
 from welltempered import exactnum
 from welltempered.exactnum import (
+    PREC_BUDGET_BITS,
     TAU,
     _EXACT_POWER_BITS,
     _golden,
@@ -322,7 +323,7 @@ def _sign_at_700_bits(x, y) -> int:
     return 0
 
 
-def test_certified_sign_agrees_with_high_precision():
+def test_certified_sign_agrees_with_high_precision(monkeypatch):
     # floats only place each partner near the first value, so the pairs are close
     rng = random.Random(20261018)
 
@@ -341,11 +342,22 @@ def test_certified_sign_agrees_with_high_precision():
         m, n = rng.randint(*mults), rng.randint(3, 60)
         return LogValue(m, n, round(float(v) - m * math.log2(n)) + rng.randint(-1, 1))
 
+    def dyadics_around(v):
+        # the two thresholds j/2^k and (j + 1)/2^k around v, for k = 1..10
+        lo, hi = v.enclosure(700)
+        for k in range(1, 11):
+            j = math.floor(lo * (1 << k))
+            assert j == math.floor(hi * (1 << k))
+            yield Fraction(j, 1 << k), 1
+            yield Fraction(j + 1, 1 << k), -1
+
     for _ in range(150):
         lv = log()
         golden = GoldenNumber(rng.randint(-40, 40), rng.randint(-40, 40))
         # log partners with 1..12 and 3000..6000 multipliers both compare by
-        # exact powers, far inside _EXACT_POWER_BITS
+        # exact powers, far inside _EXACT_POWER_BITS; a rational partner p/q
+        # compares exactly when m*q*bit_length(n) <= PREC_BUDGET_BITS, and
+        # through enclosures past that
         pairs = [(golden_near(lv), lv), (lv, log_near(lv, (1, 12))),
                  (lv, log_near(lv, (3000, 6000))), (lv, rational_near(lv)),
                  (golden, rational_near(golden))]
@@ -357,6 +369,47 @@ def test_certified_sign_agrees_with_high_precision():
                 assert sign == (x > y) - (x < y), (x, y)  # exact, within one family
             else:
                 assert sign == _sign_at_700_bits(x, y), (x, y)
+        if not lv.is_integer():
+            # near-breakpoint dyadic thresholds at the fractional part, as
+            # the rounding of m*log2(n) meets them
+            frac = lv.frac()
+            for alpha, expected in dyadics_around(frac):
+                assert certified_sign(frac, alpha) == expected == _sign_at_700_bits(frac, alpha)
+                assert certified_sign(alpha, frac) == -expected
+
+    # one pair on each side of the exact gate: m*q*bit_length(n) = 4096, then 4097
+    decisions = []
+    original = exactnum.certified_decision
+    monkeypatch.setattr(exactnum, "certified_decision",
+                        lambda *args: decisions.append(args) or original(*args))
+    for x, q, enclosed in ((LogValue(1, 3, -1), 2048, False),
+                           (LogValue(1, 65537, -16), 241, True)):
+        assert x.mult * q * x.arg.bit_length() == PREC_BUDGET_BITS + enclosed
+        j = math.floor(x.enclosure(700)[0] * q)
+        alpha = Fraction(j | 1, q)  # an odd numerator keeps the denominator q
+        assert alpha.denominator == q
+        decisions.clear()
+        sign = certified_sign(x, alpha)
+        assert bool(decisions) == enclosed
+        assert sign == _sign_at_700_bits(x, alpha) != 0
+        assert certified_sign(alpha, x) == -sign
+
+
+def test_small_denominator_thresholds_need_no_enclosure(monkeypatch):
+    # a non-integer log against p/q decides from n**(m*q) and a power of two
+    def no_enclosures(values, rule):
+        raise AssertionError(f"enclosure decision for {values}")
+
+    monkeypatch.setattr(exactnum, "certified_decision", no_enclosures)
+    frac = LogValue(12, 3, -19)  # 0.0195..., the metric breakpoint of index 2 at m = 12
+    assert certified_sign(frac, Fraction(1, 50)) == -1
+    assert certified_sign(Fraction(1, 52), frac) == -1
+    assert certified_sign(frac, 0) == 1 and certified_sign(1, frac) == 1
+    assert floor_alpha(LogValue(12, 3), Fraction(2, 5)) == 19
+    assert floor_alpha(LogValue(12, 3), Fraction(1, 64)) == 20
+    assert Fraction(1584, 1000) < LogValue(1, 3) < Fraction(1585, 1000)
+    with pytest.raises(AssertionError, match="enclosure decision"):
+        certified_sign(frac, Fraction(1, 10 ** 6))  # past the gate
 
 
 def test_certified_floor_refines_wide_enclosures():
