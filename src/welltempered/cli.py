@@ -188,19 +188,35 @@ def _cmd_table(args, parser) -> Result:
                         "rows": [dict(zip(rows[0], row)) for row in rows[1:]]})
 
 
-def _parse_alpha(text: str, parser) -> Fraction:
+def _parse_rational(text: str, name: str, parser) -> Fraction:
+    """An exact rational in decimal, exponent or fraction notation, else exit 2.
+
+    A numerator or denominator past the interpreter's int-string digit limit
+    is refused too: it could not be printed.  An exponent that alone passes
+    the limit is refused before the value is built, since expanding
+    1e-10000000 takes seconds.
+    """
+    # CPython's default limit stands in where the interpreter has none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    too_long = f"{name} has more than {limit} digits in its numerator or denominator"
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        alpha = Fraction(text)
+        # the mantissa's digits cancel at most len(mantissa) powers of ten
+        if exponent and abs(int(exponent)) > limit + len(mantissa):
+            parser.error(too_long)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"invalid alpha {text!r}")
-    if not 0 <= alpha <= 1:
-        parser.error("alpha must lie in [0, 1]")
-    return alpha
+        parser.error(f"invalid {name} {text!r}")
+    if max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        parser.error(too_long)
+    return value
 
 
 def _cmd_discretize(args, parser) -> Result:
     mold = _pick_mold(args, parser)
-    alpha = _parse_alpha(args.alpha, parser)
+    alpha = _parse_rational(args.alpha, "alpha", parser)
+    if not 0 <= alpha <= 1:
+        parser.error("alpha must lie in [0, 1]")
     d = discretize(mold, args.m, alpha)
     s = from_discretization(d)
     verification = verify_semigroup(d)
@@ -337,10 +353,7 @@ def _cmd_fractal_division(args, parser) -> Result:
         spec = golden_period_spec()
         label = "golden"
     else:
-        try:
-            cut = Fraction(args.p)
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"invalid proportion {args.p!r}")
+        cut = _parse_rational(args.p, "proportion", parser)
         if not 0 < cut < 1:
             parser.error("proportion must lie strictly between 0 and 1")
         spec = PeriodSpec([1, 1 + cut])

@@ -10,11 +10,13 @@ anything: certified enclosures are built from integer square roots and
 interval squaring.
 
 Every certified decision goes through one refinement loop,
-``certified_decision``: it encloses the values at 64 bits and doubles the
-precision until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096),
-past which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the
-values, the bits reached and the last enclosures.  ``certified_sign``
-orders any two exact values, and the comparison operators agree with it.
+``certified_decision``, which holds the only precision counter: each round
+it encloses every value as a (lower, upper) pair, ``x.enclosure(bits)`` for
+a golden or log value and (r, r) for a rational, and it doubles bits from
+64 until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096), past
+which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the values,
+the bits reached and the last pairs.  ``certified_sign`` orders any two
+exact values, and the comparison operators agree with it.
 
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
@@ -590,49 +592,6 @@ def scale(x: ExactValue, k: int) -> ExactValue:
     return Fraction(x) * k
 
 
-class CertifiedApprox:
-    """A rational enclosure [lower, upper] of an exact value, refinable on demand."""
-
-    __slots__ = ("_value", "_prec", "_lo", "_hi")
-
-    def __init__(self, value: ExactValue, prec_bits: int = 64):
-        if not is_exact_value(value):
-            raise TypeError("CertifiedApprox needs an exact value")
-        self._value = value
-        self._prec = prec_bits
-        self._compute()
-
-    def _compute(self) -> None:
-        v = self._value
-        if isinstance(v, (GoldenNumber, LogValue)):
-            self._lo, self._hi = v.enclosure(self._prec)
-        else:
-            self._lo = self._hi = Fraction(v)
-
-    @property
-    def value(self) -> ExactValue:
-        return self._value
-
-    @property
-    def lower(self) -> Fraction:
-        return self._lo
-
-    @property
-    def upper(self) -> Fraction:
-        return self._hi
-
-    @property
-    def width(self) -> Fraction:
-        return self._hi - self._lo
-
-    def refine(self) -> None:
-        self._prec *= 2
-        self._compute()
-
-    def __repr__(self) -> str:
-        return f"CertifiedApprox({self._value!r}, [{float(self._lo)}, {float(self._hi)}])"
-
-
 PREC_BUDGET_BITS = 4096
 
 
@@ -651,30 +610,34 @@ class PrecisionBudgetExceeded(ValueError):
 
 
 def certified_decision(values: tuple, rule):
-    """The one refinement loop: rule(*enclosures) of values, refined until decided.
+    """The one refinement loop: rule(*enclosures) of values, at doubling precision.
 
-    Enclosures start at 64 bits and the inexact ones double while rule returns
-    None; a rule still undecided at PREC_BUDGET_BITS raises PrecisionBudgetExceeded.
+    Each round encloses every value at bits as a (lower, upper) pair of
+    Fractions, x.enclosure(bits) for a golden or log value and (r, r) for a
+    rational r, and calls rule on the pairs.  bits starts at 64 and doubles
+    while rule returns None; a rule still undecided at PREC_BUDGET_BITS raises
+    PrecisionBudgetExceeded with the last pairs.  A value that is not exact
+    raises TypeError.
     """
+    if not all(map(is_exact_value, values)):
+        raise TypeError("certified_decision needs exact values")
     bits = 64
-    boxes = [CertifiedApprox(v, bits) for v in values]
     while True:
-        verdict = rule(*boxes)
+        enclosures = tuple(v.enclosure(bits) if isinstance(v, (GoldenNumber, LogValue))
+                           else (Fraction(v),) * 2 for v in values)
+        verdict = rule(*enclosures)
         if verdict is not None:
             return verdict
         if bits >= PREC_BUDGET_BITS:
-            raise PrecisionBudgetExceeded(tuple(values), bits,
-                                          tuple((box.lower, box.upper) for box in boxes))
+            raise PrecisionBudgetExceeded(tuple(values), bits, enclosures)
         bits *= 2
-        for box in boxes:
-            if box.width:
-                box.refine()
 
 
-def _separation(a: CertifiedApprox, b: CertifiedApprox):
-    if a.upper < b.lower:
+def _separation(x: tuple, y: tuple):
+    (x_lo, x_hi), (y_lo, y_hi) = x, y
+    if x_hi < y_lo:
         return -1
-    if b.upper < a.lower:
+    if y_hi < x_lo:
         return 1
     return None
 
@@ -717,14 +680,21 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
     return (x > y) - (x < y)
 
 
-def _settled_floor(box: CertifiedApprox):
-    lower = math.floor(box.lower)
-    return lower if lower == math.floor(box.upper) else None
+def _settled_floor(x: tuple):
+    lower, upper = x
+    floor = math.floor(lower)
+    return floor if floor == math.floor(upper) else None
 
 
 def certified_floor(x: ExactValue) -> int:
-    """floor(x); a non-integer log is enclosed instead of raised to n**m."""
-    if type(x) is LogValue and x._n != 1:
+    """floor(x); a non-integer log is enclosed only past the exact size.
+
+    That is when n**m is uncached and m*bit_length(n) > PREC_BUDGET_BITS, the
+    size up to which certified_sign orders a log against an integer exactly;
+    below it, floor builds n**m and caches it on x.
+    """
+    if (type(x) is LogValue and x._n != 1 and x._pow is None
+            and x._m * x._n.bit_length() > PREC_BUDGET_BITS):
         return certified_decision((x,), _settled_floor)
     return exact_floor(x)
 

@@ -411,10 +411,11 @@ def _gap_strictly_below(a, b, eps: Fraction) -> bool:
     if not (isinstance(a, LogValue) or isinstance(b, LogValue)):
         return b - a < eps
 
-    def rule(ca, cb):
-        if cb.upper - ca.lower < eps:
+    def rule(a_iv, b_iv):
+        (a_lo, a_hi), (b_lo, b_hi) = a_iv, b_iv
+        if b_hi - a_lo < eps:
             return True
-        if not cb.lower - ca.upper < eps:
+        if not b_lo - a_hi < eps:
             return False
         return None
 
@@ -533,13 +534,13 @@ def _certified_subdivision_match(actual, left, o, right) -> Optional[bool]:
     """
 
     def indistinguishable(a, x, o, y):
-        w = (y.lower - x.upper, y.upper - x.lower)
-        prod = _iv_mul((o.lower, o.upper), w)
-        lo_pred = x.lower + prod[0]
-        hi_pred = x.upper + prod[1]
-        if a.upper < lo_pred or hi_pred < a.lower:
+        (a_lo, a_hi), (x_lo, x_hi), (y_lo, y_hi) = a, x, y
+        prod_lo, prod_hi = _iv_mul(o, (y_lo - x_hi, y_hi - x_lo))
+        lo_pred = x_lo + prod_lo
+        hi_pred = x_hi + prod_hi
+        if a_hi < lo_pred or hi_pred < a_lo:
             return False
-        if (hi_pred - lo_pred) < _FRACTAL_GAP and a.width < _FRACTAL_GAP:
+        if (hi_pred - lo_pred) < _FRACTAL_GAP and a_hi - a_lo < _FRACTAL_GAP:
             return True
         return None
 

@@ -5,8 +5,10 @@ agreement, and run-to-run determinism."""
 import json
 import random
 import time
+import types
 from fractions import Fraction
 
+import welltempered
 from welltempered.cli import main
 from welltempered.discretize import alpha_sweep, discretize, interval_for_alpha
 from welltempered.exactnum import TAU, scale
@@ -252,3 +254,12 @@ def test_byte_identical_reruns(capsys):
         if argv[-1] == "json":
             payload = json.loads(first)
             assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == first
+
+
+def test_package_exports_every_public_name_once():
+    exported = welltempered.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(welltempered, name) for name in exported)
+    public = {name for name, value in vars(welltempered).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(exported) == public

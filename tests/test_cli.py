@@ -141,12 +141,24 @@ def test_discretize_json(capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
 
+# exact rationals whose numerator or denominator passes the interpreter's
+# int-string digit limit; unbounded, 1e-10000000 runs for seconds or minutes
+HOSTILE_RATIONALS = ("1e-5000", "1e-10000000", "1e10000000", "0.1e-4299",
+                     "1/" + "9" * 5000, "9" * 4000 + "." + "1" * 4000)
+
+
 def test_discretize_alpha_validation(capsys):
-    for alpha in ("3/2", "-0.1", "abc", "1/0"):
+    for alpha in ("3/2", "-0.1", "abc", "1/0", "1e", "1e1e1") + HOSTILE_RATIONALS:
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
-        assert exc.value.code == 2
-    capsys.readouterr()
+        assert exc.value.code == 2, alpha[:20]
+        assert time.perf_counter() - start < 1.0, alpha[:20]
+        assert capsys.readouterr().out == ""
+    # the limit's edge, and an exponent the mantissa cancels, still parse
+    for alpha in ("1e-4299", "1000e-4302", "4e-1", "25e-2", "7/8"):
+        code, out, _ = run(capsys, ["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
+        assert code == 0 and out, alpha[:20]
 
 
 def test_search_unique_match(capsys):
@@ -231,11 +243,14 @@ def test_fractal_division_validation(capsys):
     for argv in (["fractal-division", "--p", "golden", "--depth", "13"],
                  ["fractal-division", "--p", "0", "--depth", "2"],
                  ["fractal-division", "--p", "3/2", "--depth", "2"],
-                 ["fractal-division", "--p", "oops", "--depth", "2"]):
+                 ["fractal-division", "--p", "oops", "--depth", "2"],
+                 *(["fractal-division", "--p", p, "--depth", "1"] for p in HOSTILE_RATIONALS)):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
-    capsys.readouterr()
+        assert exc.value.code == 2, argv[2][:20]
+        assert time.perf_counter() - start < 1.0, argv[2][:20]
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))

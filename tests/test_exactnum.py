@@ -19,7 +19,6 @@ from welltempered.exactnum import (
     _golden,
     _integer_root,
     _split,
-    CertifiedApprox,
     GoldenNumber,
     LogValue,
     certified_floor,
@@ -312,14 +311,33 @@ def test_cross_compare_mixed_direct_comparison_raises():
         _ = LogValue(1, 3) < TAU
 
 
+def test_certified_sign_rejects_inexact_values():
+    # Fraction() accepts a float or a numeric string, so an enclosure loop
+    # that built Fractions unchecked would order them
+    for inexact in (1.5, "2"):
+        for args in ((LogValue(1, 3), inexact), (inexact, LogValue(1, 3))):
+            with pytest.raises(TypeError):
+                certified_sign(*args)
+    for args in ((TAU, 1.5), (1.5, TAU)):
+        with pytest.raises(TypeError):
+            certified_sign(*args)
+
+
+def _at_700_bits(x) -> tuple:
+    """x's 700-bit enclosure as (lower, upper); a rational is its own point."""
+    if isinstance(x, (GoldenNumber, LogValue)):
+        return x.enclosure(700)
+    return Fraction(x), Fraction(x)
+
+
 def _sign_at_700_bits(x, y) -> int:
     """The order of x and y shown by disjoint 700-bit enclosures (0 for one point)."""
-    a, b = CertifiedApprox(x, 700), CertifiedApprox(y, 700)
-    if a.upper < b.lower:
+    (a_lo, a_hi), (b_lo, b_hi) = _at_700_bits(x), _at_700_bits(y)
+    if a_hi < b_lo:
         return -1
-    if b.upper < a.lower:
+    if b_hi < a_lo:
         return 1
-    assert a.lower == a.upper == b.lower == b.upper, (x, y)
+    assert a_lo == a_hi == b_lo == b_hi, (x, y)
     return 0
 
 
@@ -412,6 +430,27 @@ def test_small_denominator_thresholds_need_no_enclosure(monkeypatch):
         certified_sign(frac, Fraction(1, 10 ** 6))  # past the gate
 
 
+def test_small_logs_floor_without_enclosures(monkeypatch):
+    # certified_floor encloses a log only when n**m is uncached and
+    # m*bit_length(n) > PREC_BUDGET_BITS
+    def no_enclosures(values, rule):
+        raise AssertionError(f"enclosure decision for {values}")
+
+    monkeypatch.setattr(exactnum, "certified_decision", no_enclosures)
+    for c in (-3300, 0, 7):
+        x = LogValue(2048, 3, c)
+        assert x.mult * x.arg.bit_length() == PREC_BUDGET_BITS
+        assert certified_floor(x) == (3 ** 2048).bit_length() - 1 + c
+    # the probe floors of a log's dyadic multiples are exact, k = 1..6 here
+    between = rational_between(Fraction(85, 100), LogValue(12, 5, -27))
+    assert Fraction(85, 100) < between < LogValue(12, 5, -27)
+    with pytest.raises(AssertionError, match="enclosure decision"):
+        certified_floor(LogValue(2049, 3))  # 4098 bits, past the gate
+    cached = LogValue(2049, 3)
+    cached._power()
+    assert certified_floor(cached) == (3 ** 2049).bit_length() - 1
+
+
 def test_certified_floor_refines_wide_enclosures():
     # the 64-bit enclosure of 2^k * log2(3) is about 2^(k - 63) wide
     for k in range(40, 90):
@@ -421,18 +460,17 @@ def test_certified_floor_refines_wide_enclosures():
 
 
 def test_only_exactnum_builds_and_refines_enclosures():
-    # one refinement loop: every other module decides through exactnum
-    sites = {}
+    # one refinement loop: every other module, and the rest of exactnum,
+    # decides through certified_decision, the one caller of enclosure()
+    sites, loop = [], None
     for path in sorted(Path(welltempered.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "CertifiedApprox" or (name == "refine" and isinstance(func, ast.Attribute)):
-                sites.setdefault(path.name, []).append((name, node.lineno))
-    assert set(sites) == {"exactnum.py"}, sites
-    assert [name for name, _ in sites["exactnum.py"]].count("refine") == 1
+            if isinstance(node, ast.FunctionDef) and node.name == "certified_decision":
+                loop = (path.name, range(node.lineno, node.end_lineno + 1))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "enclosure":
+                sites.append((path.name, node.lineno))
+    assert loop[0] == "exactnum.py"
+    assert len(sites) == 1 and sites[0][0] == loop[0] and sites[0][1] in loop[1], sites
 
 
 def test_rational_between():
@@ -445,13 +483,14 @@ def test_rational_between():
 
 
 def test_certified_approx_refine():
-    ca = CertifiedApprox(LogValue(1, 3), 16)
-    w0 = ca.width
-    ca.refine()
-    assert ca.width <= w0
-    assert ca.lower <= Fraction(16, 10) <= ca.upper or ca.upper < Fraction(16, 10)
-    exact = CertifiedApprox(Fraction(7, 3))
-    assert exact.lower == exact.upper == Fraction(7, 3)
+    for x in (LogValue(1, 3), LogValue(12, 5, -27), GoldenNumber(-14, 24)):
+        (lo16, hi16), (lo32, hi32) = x.enclosure(16), x.enclosure(32)
+        assert lo16 <= lo32 < hi32 <= hi16, x
+        assert hi32 - lo32 < hi16 - lo16, x
+    # certified_decision hands a rational to its rule as a point
+    rational = Fraction(7, 3)
+    first = exactnum.certified_decision((rational, LogValue(1, 3)), lambda r, x: r)
+    assert first == (rational, rational)
 
 
 def _checked_mul(x: GoldenNumber, y: GoldenNumber) -> GoldenNumber:
@@ -594,8 +633,8 @@ def test_operators_agree_with_certified_sign():
         if sign == 0:
             assert hash(x) == hash(y)
             equal_across += type(x) is not type(y)
-        a, b = CertifiedApprox(x, 700), CertifiedApprox(y, 700)
-        assert not (a.upper < b.lower and sign != -1 or b.upper < a.lower and sign != 1)
+        (a_lo, a_hi), (b_lo, b_hi) = _at_700_bits(x), _at_700_bits(y)
+        assert not (a_hi < b_lo and sign != -1 or b_hi < a_lo and sign != 1)
         if {type(x), type(y)} == {GoldenNumber, LogValue}:
             for op in (operator.lt, operator.le, operator.gt, operator.ge):
                 with pytest.raises(TypeError):
