@@ -194,7 +194,8 @@ def _parse_rational(text: str, name: str, parser) -> Fraction:
     A numerator or denominator past the interpreter's int-string digit limit
     is refused too: it could not be printed.  An exponent that alone passes
     the limit is refused before the value is built, since expanding
-    1e-10000000 takes seconds.
+    1e-10000000 takes seconds.  An invalid argument past 40 characters is
+    echoed cut to 40, with its length.
     """
     # CPython's default limit stands in where the interpreter has none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
@@ -206,7 +207,8 @@ def _parse_rational(text: str, name: str, parser) -> Fraction:
             parser.error(too_long)
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        parser.error(f"invalid {name} {text!r}")
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        parser.error(f"invalid {name} {shown}")
     if max(abs(value.numerator), value.denominator) >= 10 ** limit:
         parser.error(too_long)
     return value

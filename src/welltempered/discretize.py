@@ -126,13 +126,7 @@ def _key_of(members: list) -> tuple:
     on that run, so its start is found by bisection.
     """
     run = members[-1] - len(members) + 1
-    lo, hi = 0, len(members) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if members[mid] - mid < run:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(range(len(members)), run, key=lambda j: members[j] - j)
     return tuple(members[:lo]), members[lo]
 
 
@@ -408,13 +402,7 @@ def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:
     them; a bisection with certified comparisons finds the first interval
     whose upper endpoint is not below alpha.
     """
-    lo, hi = 0, len(intervals)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if certified_sign(intervals[mid].upper, alpha) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(intervals, 0, key=lambda iv: certified_sign(iv.upper, alpha))
     if lo < len(intervals) and intervals[lo].contains_alpha(alpha):
         return intervals[lo]
     raise ValueError(f"alpha {alpha} outside [0, 1]")

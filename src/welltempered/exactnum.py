@@ -315,7 +315,11 @@ def certified_log2(n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
     return (Fraction(e) + Fraction(y, scale), Fraction(e) + Fraction(y + 1, scale))
 
 
-# largest mult * bit_length(arg) for which LogValue._power builds arg**mult
+# largest mult * bit_length(arg) for which LogValue._power builds arg**mult.  This is
+# the sweeps' gate; PREC_BUDGET_BITS gates certified_floor and certified_sign's
+# log-vs-rational order, where a one-off power costs more than an enclosure.  Keep the
+# two (2-core VM): one gate at 4096 took alpha_sweep(L, 1000) from 0.12 to 0.46 s, and
+# one at 10**6 took `mold show --mold L --count 2000` from 0.25 to 5.9 s.
 _EXACT_POWER_BITS = 10 ** 6
 
 # largest odd part of a log's argument, in bits: canonicalizing takes a root for each
@@ -460,9 +464,7 @@ class LogValue:
         return NotImplemented
 
     def __lt__(self, other):
-        if isinstance(other, LogValue):
-            return _log_order(self, other) < 0
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if isinstance(other, (LogValue, int, Fraction)) and not isinstance(other, bool):
             return certified_sign(self, other) < 0
         return NotImplemented
 
@@ -691,7 +693,9 @@ def certified_floor(x: ExactValue) -> int:
 
     That is when n**m is uncached and m*bit_length(n) > PREC_BUDGET_BITS, the
     size up to which certified_sign orders a log against an integer exactly;
-    below it, floor builds n**m and caches it on x.
+    below it, floor builds n**m and caches it on x.  This gate is not
+    _EXACT_POWER_BITS on purpose: rendering floors a fresh 10**places-scaled
+    log per value, which a 64-bit enclosure settles faster than its power.
     """
     if (type(x) is LogValue and x._n != 1 and x._pow is None
             and x._m * x._n.bit_length() > PREC_BUDGET_BITS):

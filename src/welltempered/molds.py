@@ -11,6 +11,7 @@ the checked bound and, on failure, the smallest lexicographic witness.
 from __future__ import annotations
 
 import bisect
+import itertools
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Union
@@ -23,6 +24,7 @@ from .exactnum import (
     certified_decision,
     certified_sign,
     exact_floor,
+    scale,
 )
 
 CutValue = Union[int, Fraction, GoldenNumber]
@@ -154,14 +156,7 @@ class MetricMold(Mold):
         hi = 1
         while not ok(hi):
             hi *= 2
-        lo = 0
-        while hi - lo > 1:  # smallest n passing; the ratio test is monotone in n
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        n = hi
+        n = bisect.bisect_left(range(hi + 1), True, key=ok)  # ok is monotone, ok(0) false
         return n, f"({n}+2)^{m} < 2*({n}+1)^{m} and (n+2)/(n+1) decreases in n"
 
 
@@ -387,7 +382,8 @@ def check_mold_axioms(mold: Mold, count: int,
 
     The vanishing-gap axiom is a limit statement; with `gap_epsilon` given,
     its finite stand-in is checked too: every gap inside the last complete
-    unit interval covered by the prefix must be below epsilon.
+    unit interval covered by the prefix must be strictly below epsilon,
+    decided exactly, so a gap equal to epsilon fails.
     """
     values = mold.elements(count)
     if values[0] != 0:
@@ -398,28 +394,21 @@ def check_mold_axioms(mold: Mold, count: int,
                                   "sequence is not strictly increasing")
     if gap_epsilon is not None:
         cell = exact_floor(values[-1]) - 1
-        inside = [i for i, v in enumerate(values) if cell <= exact_floor(v) < cell + 1]
-        for i in inside:
-            if i + 1 < count and not _gap_strictly_below(values[i], values[i + 1], gap_epsilon):
+        for i, (a, b) in enumerate(zip(values, values[1:])):
+            if exact_floor(a) == cell and not _gap_strictly_below(a, b, gap_epsilon):
                 return PropertyReport("mold-axioms", "fails", count, (i, i + 1),
                                       f"gap at index {i} is not below {gap_epsilon}")
     return _closure_check(values, "mold-axioms")
 
 
 def _gap_strictly_below(a, b, eps: Fraction) -> bool:
-    """Certified check that b - a < eps; log values go through enclosures."""
-    if not (isinstance(a, LogValue) or isinstance(b, LogValue)):
-        return b - a < eps
+    """Whether b - a < eps = p/q, decided exactly as q*b < q*a + p by certified_sign.
 
-    def rule(a_iv, b_iv):
-        (a_lo, a_hi), (b_lo, b_hi) = a_iv, b_iv
-        if b_hi - a_lo < eps:
-            return True
-        if not b_lo - a_hi < eps:
-            return False
-        return None
-
-    return certified_decision((a, b), rule)
+    Both sides stay in their family (two logs go through _log_order), so a
+    gap equal to eps is decided, not enclosed, and is not below it.
+    """
+    p, q = Fraction(eps).as_integer_ratio()
+    return certified_sign(scale(b, q), scale(a, q) + p) < 0
 
 
 def generic_fractal_mold(period: PeriodSpec, count: int) -> tuple[list, PropertyReport]:
@@ -486,15 +475,9 @@ def check_fractal(mold: Mold, periods: int) -> PropertyReport:
     a proven separation fails, agreement within _FRACTAL_GAP passes on this
     prefix.
     """
-    values = []
-    i = 0
-    while True:
-        v = mold.element(i)
-        if not v < periods + 1:
-            break
-        values.append(v)
-        i += 1
-    bound = i
+    values = list(itertools.takewhile(lambda v: v < periods + 1,
+                                     map(mold.element, itertools.count())))
+    bound = len(values)
     grouped: list[list] = [[] for _ in range(periods + 1)]
     for v in values:
         grouped[exact_floor(v)].append(v)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 from .discretize import AlphaInterval, _discretize_at, _truncated_images, alpha_sweep
@@ -147,21 +149,18 @@ TAIL_START = 35
 
 
 def _merged_regions(mold: Mold, m: int) -> list[AlphaInterval]:
-    """Alpha sweep with adjacent equal-image intervals fused.
+    """Alpha sweep with each run of adjacent equal-key intervals fused by groupby.
 
-    Only the intervals' keys are compared, so no index map is built.  The
-    fused region keeps the last constituent's upper endpoint, so its
-    representative still describes the image at the region's upper
-    endpoint.  The pure ceiling point stays a region of its own.
+    The pure ceiling point, first in the sweep, stays a region of its own.
+    Only keys are compared, so no index map is built.  A region spans its
+    run's first lower to last upper endpoint, with the last certificate, so
+    its representative describes the image at the region's upper endpoint.
     """
-    intervals = alpha_sweep(mold, m)
-    regions = [intervals[0]]
-    for iv in intervals[1:]:
-        last = regions[-1]
-        if not last.is_ceiling_point and iv.key == last.key:
-            regions[-1] = AlphaInterval(last.lower, iv.upper, iv.key, iv.certificate)
-        else:
-            regions.append(iv)
+    ceiling, *rest = alpha_sweep(mold, m)
+    regions = [ceiling]
+    for key, group in groupby(rest, key=attrgetter("key")):
+        run = list(group)
+        regions.append(AlphaInterval(run[0].lower, run[-1].upper, key, run[-1].certificate))
     return regions
 
 
@@ -269,13 +268,8 @@ def multiplicity_census(m_max: int) -> set[int]:
 def even_filterable_census(m_max: int) -> set[int]:
     """Multiplicities whose some match is even-filterable on both sides."""
     _check_multiplicity(m_max, "m_max must be a positive integer")
-    found = set()
-    for m in range(1, m_max + 1):
-        for match in _search(m):
-            if all(report.holds for report in match.even_filterable):
-                found.add(m)
-                break
-    return found
+    return {m for m in range(1, m_max + 1)
+            if any(all(report.holds for report in match.even_filterable) for match in _search(m))}
 
 
 def tail_certificate(m: int) -> TailCertificate:

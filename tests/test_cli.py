@@ -144,7 +144,14 @@ def test_discretize_json(capsys):
 # exact rationals whose numerator or denominator passes the interpreter's
 # int-string digit limit; unbounded, 1e-10000000 runs for seconds or minutes
 HOSTILE_RATIONALS = ("1e-5000", "1e-10000000", "1e10000000", "0.1e-4299",
-                     "1/" + "9" * 5000, "9" * 4000 + "." + "1" * 4000)
+                     "1/" + "9" * 5000, "9" * 4000 + "." + "1" * 4000, "x" * 3000)
+
+
+def assert_short_usage_error(capsys, label):
+    # an echoed argument is cut to 40 characters, so no error line is long
+    captured = capsys.readouterr()
+    assert captured.out == "", label
+    assert captured.err and max(map(len, captured.err.splitlines())) < 120, label
 
 
 def test_discretize_alpha_validation(capsys):
@@ -154,7 +161,13 @@ def test_discretize_alpha_validation(capsys):
             main(["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
         assert exc.value.code == 2, alpha[:20]
         assert time.perf_counter() - start < 1.0, alpha[:20]
-        assert capsys.readouterr().out == ""
+        assert_short_usage_error(capsys, alpha[:20])
+    # a short invalid argument is echoed whole, a long one cut with its length
+    for alpha, shown in (("abc", "'abc'"),
+                         ("1/" + "9" * 5000, f"'1/{'9' * 38}'... (5002 characters)")):
+        with pytest.raises(SystemExit):
+            main(["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
+        assert capsys.readouterr().err.endswith(f"error: invalid alpha {shown}\n")
     # the limit's edge, and an exponent the mantissa cancels, still parse
     for alpha in ("1e-4299", "1000e-4302", "4e-1", "25e-2", "7/8"):
         code, out, _ = run(capsys, ["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
@@ -250,7 +263,7 @@ def test_fractal_division_validation(capsys):
             main(argv)
         assert exc.value.code == 2, argv[2][:20]
         assert time.perf_counter() - start < 1.0, argv[2][:20]
-        assert capsys.readouterr().out == ""
+        assert_short_usage_error(capsys, argv[2][:20])
 
 
 @pytest.mark.parametrize("fmt", ("text", "csv", "json"))

@@ -230,6 +230,7 @@ def test_floor_alpha_threshold_semantics():
     assert floor_alpha(Fraction(5, 2), 1) == 2
     assert floor_alpha(7, Fraction(1, 3)) == 7
     assert floor_alpha(7, 0) == 7
+    assert (exact_floor(Fraction(5, 2)), exact_ceil(Fraction(5, 2))) == (2, 3)
 
 
 def test_floor_alpha_monotone_in_alpha():
@@ -305,10 +306,10 @@ def test_certified_sign_golden_vs_log_agrees_with_high_precision():
 
 
 def test_cross_compare_mixed_direct_comparison_raises():
-    with pytest.raises(TypeError):
-        _ = TAU < LogValue(1, 3)
-    with pytest.raises(TypeError):
-        _ = LogValue(1, 3) < TAU
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for args in ((TAU, LogValue(1, 3)), (LogValue(1, 3), TAU)):
+            with pytest.raises(TypeError):
+                compare(*args)
 
 
 def test_certified_sign_rejects_inexact_values():
@@ -318,7 +319,7 @@ def test_certified_sign_rejects_inexact_values():
         for args in ((LogValue(1, 3), inexact), (inexact, LogValue(1, 3))):
             with pytest.raises(TypeError):
                 certified_sign(*args)
-    for args in ((TAU, 1.5), (1.5, TAU)):
+    for args in ((TAU, 1.5), (1.5, TAU), (1.5, 2), (2, 1.5)):
         with pytest.raises(TypeError):
             certified_sign(*args)
 
@@ -480,6 +481,9 @@ def test_rational_between():
     assert LogValue(12, 5, -27) < b < Fraction(87, 100)
     c = rational_between(Fraction(1, 3), Fraction(1, 2))
     assert Fraction(1, 3) < c < Fraction(1, 2)
+    for lo, hi in ((Fraction(1, 2), Fraction(1, 3)), (TAU, TAU)):
+        with pytest.raises(ValueError, match="not separated"):
+            rational_between(lo, hi)
 
 
 def test_certified_approx_refine():

@@ -233,6 +233,21 @@ def test_mold_axiom_checks_hold_for_named_molds():
     assert check_mold_axioms(metric_mold(), 120, gap_epsilon=Fraction(1, 8)).holds
 
 
+def test_gap_check_is_decided_exactly():
+    # a gap equal to epsilon is not below it, and a tie of two logs is a
+    # verdict, not an enclosure that never separates
+    tie = ExplicitMold([0, LogValue(1, 3), LogValue(1, 3, 1)])
+    report = check_mold_axioms(tie, 3, gap_epsilon=Fraction(1))
+    assert (report.verdict, report.witness) == ("fails", (1, 2))
+    assert report.detail == "gap at index 1 is not below 1"
+    report = check_mold_axioms(metric_mold(), 120, gap_epsilon=Fraction(1, 100))
+    assert (report.verdict, report.witness) == ("fails", (31, 32))
+    # Q's checked cell at 64 elements is [4, 5), with step 1/32
+    report = check_mold_axioms(mold_q(), 64, gap_epsilon=Fraction(1, 32))
+    assert (report.verdict, report.witness) == ("fails", (29, 30))
+    assert check_mold_axioms(mold_q(), 64, gap_epsilon=Fraction(1, 31)).holds
+
+
 def test_golden_closure_random_pairs():
     F = golden_fractal_mold()
     values = F.elements((1 << 12) - 1)  # everything below 12
@@ -258,6 +273,10 @@ def test_even_filterable_mold_checks():
     assert not report.holds
     assert report.witness == (2, 4)
     assert "15" in report.detail
+    # the 7/12 cut is not closed: an even pair sums outside the mold
+    report = check_even_filterable_mold(FractalMold(PeriodSpec([1, 1 + Fraction(7, 12)])), 16)
+    assert (report.verdict, report.witness) == ("fails", (2, 2))
+    assert report.detail == "mu_2 + mu_2 = 19/6 is not an element"
 
 
 def test_metric_mold_is_not_fractal():
@@ -310,6 +329,13 @@ def test_explicit_mold_boundaries():
         mold.element(3)
     with pytest.raises(SpacingCertificateError):
         mold.spacing_index(5)
+    report = check_mold_axioms(ExplicitMold([1, 2]), 2)
+    assert (report.verdict, report.witness, report.detail) == ("fails", (0,), "mu_0 is not 0")
+    report = check_mold_axioms(ExplicitMold([0, 1, 1, 2]), 4)
+    assert (report.verdict, report.witness) == ("fails", (1, 2))
+    report = check_fractal(ExplicitMold([0, Fraction(1, 2), 1, Fraction(3, 2), 2]), 1)
+    assert (report.verdict, report.witness) == ("fails", (0,))
+    assert report.detail.startswith("need one element in period 0")
 
 
 def test_period_spec_validation():

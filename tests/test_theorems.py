@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -196,6 +197,28 @@ def test_tail_certificate_fails_on_an_undecided_comparison(monkeypatch, capsys):
         tail_certificate(theorems.TAIL_START)
     assert main(["theorem", "--which", "4"]) == 1
     assert "tail: m >= 35 NOT certified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side, name", ((0, "metric"), (1, "golden")))
+def test_tail_certificate_needs_the_exact_anchor(monkeypatch, side, name):
+    # mutation: one search mold's index-3 element is 3/2, not the exact 2
+    molds = list(theorems._SEARCH_MOLDS)
+    molds[side] = mold_q()
+    monkeypatch.setattr(theorems, "_SEARCH_MOLDS", tuple(molds))
+    with pytest.raises(RuntimeError, match=f"{name} mold lost its exact element at index 3"):
+        tail_certificate(theorems.TAIL_START)
+
+
+def test_midpoint_recheck_catches_a_disagreeing_rediscretization(monkeypatch):
+    region = _merged_regions(F, 12)[1]
+    theorems._midpoint_recheck(region, region.key)  # the real re-rounding agrees
+    # mutation: the interior re-rounding returns another set than the sweep's
+    monkeypatch.setattr(theorems, "_discretize_at",
+                        lambda certificate, alpha: SimpleNamespace(prefix=(0,), conductor=1))
+    with pytest.raises(RuntimeError, match="failed its interior re-check"):
+        theorems._midpoint_recheck(region, region.key)
+    with pytest.raises(RuntimeError, match="failed its interior re-check"):
+        _matches(L, F, 12)
 
 
 def test_tail_certificate_rejects_search_territory():
