@@ -194,8 +194,9 @@ def _parse_rational(text: str, name: str, parser) -> Fraction:
     A numerator or denominator past the interpreter's int-string digit limit
     is refused too: it could not be printed.  An exponent that alone passes
     the limit is refused before the value is built, since expanding
-    1e-10000000 takes seconds.  An invalid argument past 40 characters is
-    echoed cut to 40, with its length.
+    1e-10000000 takes seconds.  An invalid argument is echoed with its
+    non-printable characters escaped (\\x01, \\u2028); past 40 escaped
+    characters, only the first 40 are shown, with the argument's length.
     """
     # CPython's default limit stands in where the interpreter has none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
@@ -207,7 +208,8 @@ def _parse_rational(text: str, name: str, parser) -> Fraction:
             parser.error(too_long)
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        shown = text.encode("unicode_escape").decode()
+        shown = f"'{shown}'" if len(shown) <= 40 else f"'{shown[:40]}'... ({len(text)} characters)"
         parser.error(f"invalid {name} {shown}")
     if max(abs(value.numerator), value.denominator) >= 10 ** limit:
         parser.error(too_long)

@@ -27,10 +27,8 @@ from operator import attrgetter
 
 from .exactnum import (
     ExactValue,
-    GoldenNumber,
     Rational,
     _check_alpha,
-    _floor_int_tau,
     _round,
     _split,
     certified_sign,
@@ -171,7 +169,8 @@ class Discretization:
         cert = self.certificate
         mold, m = cert.mold, cert.multiplicity
         for i in count(cert.prefix_end + 1):
-            yield _round(*_split(scale(mold.element(i), m)), self._alpha)
+            floor, frac, _ = _split(scale(mold.element(i), m))
+            yield _round(floor, frac, self._alpha)
 
     @cached_property
     def values(self) -> tuple:
@@ -196,21 +195,24 @@ def _check_step(mold: Mold, i: int, current, following) -> None:
             f"mold {mold.name!r}: scaled step at index {i} is not below 1")
 
 
-def _prefix_tables(mold: Mold, m: int) -> TruncationCertificate:
-    """Split m * mu_i for i <= prefix_end, after checking the step at prefix_end.
+def _prefix_tables(mold: Mold, m: int) -> tuple:
+    """(certificate, keys): m * mu_i split for i <= prefix_end, and the parts' sort keys.
 
-    That one exact check, the walk's first step with the walk's error,
-    reads element prefix_end + 1 and no further.  A bad step further on is
-    caught when the walk to the horizon runs.
+    The step at prefix_end is checked first.  That one exact check, the
+    walk's first step with the walk's error, reads element prefix_end + 1
+    and no further.  A bad step further on is caught when the walk to the
+    horizon runs.  Only sweeps read the keys, so the certificate does not
+    keep them.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
-    scaled = [scale(mold.element(i), m) for i in range(prefix_end + 2)]
-    _check_step(mold, prefix_end, scaled[-2], scaled[-1])
-    floors, fracs = zip(*map(_split, scaled[:-1]))
+    _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
+                scale(mold.element(prefix_end + 1), m))
+    floors, fracs, keys = zip(*(_split(scale(mold.element(i), m))
+                                for i in range(prefix_end + 1)))
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
-                                 mold, floors, fracs)
+                                 mold, floors, fracs), keys
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
@@ -218,7 +220,7 @@ def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
 
     Eager: the walk to the horizon runs before this returns.
     """
-    cert = _prefix_tables(mold, m)
+    cert, _ = _prefix_tables(mold, m)
     cert.horizon  # walks now
     return cert
 
@@ -237,7 +239,7 @@ def discretize(mold: Mold, m: int, alpha) -> Discretization:
     alpha_sweep already holds its image: read its representative instead.
     """
     _check_alpha(alpha)
-    return _discretize_at(_prefix_tables(mold, m), alpha)
+    return _discretize_at(_prefix_tables(mold, m)[0], alpha)
 
 
 class AlphaInterval:
@@ -294,42 +296,26 @@ class AlphaInterval:
         return certified_sign(self.lower, alpha) < 0 <= certified_sign(self.upper, alpha)
 
 
-def _breakpoint_key(fracs: tuple, live: list):
-    """A sort key on the indices in live that orders fracs[i] exactly.
-
-    When every fractional part is a golden a + b*tau with int coefficients,
-    the key is (floor(2^P * frac), frac) with P = 2*bit_length(max |b|) + 8:
-    the floor is exact (_floor_int_tau) and monotone in frac, so distinct
-    floors order their parts and equal floors fall back to the exact
-    comparison.  With P that large, equal floors of distinct parts are rare
-    (the gaps between the points {k*tau}, |k| <= K, are at least about
-    1/(sqrt(5)*K), by the three-distance theorem and Hurwitz's bound), but
-    correctness does not rest on it.  Other families sort by value.
-    """
-    parts = [fracs[i] for i in live]
-    if not parts or not all(type(f) is GoldenNumber and type(f.a) is int and type(f.b) is int
-                            for f in parts):
-        return fracs.__getitem__
-    shift = 2 * max(abs(f.b) for f in parts).bit_length() + 8
-    keys = {i: (_floor_int_tau(f.a << shift, f.b << shift), f) for i, f in zip(live, parts)}
-    return keys.__getitem__
-
-
-def _crossings(floors, fracs):
+def _crossings(floors, fracs, keys):
     """(members, crossings): the sorted image at pure ceiling, and the pass moving it.
 
     Crossing each distinct nonzero fractional part, in increasing order,
     moves its indices from ceiling to floor, which updates a hit count per
     integer and, when a count reaches or leaves zero, members in place;
-    crossings yields (frac, changed) after each.
+    crossings yields (frac, changed) after each.  The parts are sorted and
+    grouped on keys, _split's sort keys, which order them exactly: integers
+    first, the parts themselves only where the integers tie.  Unless every
+    part has a key and all are of one family, they are sorted by value.
     """
     hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
     members = sorted(hits)
     live = [i for i, frac in enumerate(fracs) if frac is not None]
-    order = sorted(live, key=_breakpoint_key(fracs, live))
+    if None in map(keys.__getitem__, live) or len({type(fracs[i]) for i in live}) > 1:
+        keys = fracs
+    order = sorted(live, key=keys.__getitem__)
 
     def crossings():
-        for frac, group in groupby(order, key=fracs.__getitem__):
+        for _, group in groupby(order, key=keys.__getitem__):
             changed = False
             for i in group:
                 fl = floors[i]
@@ -341,7 +327,7 @@ def _crossings(floors, fracs):
                     insort(members, fl)
                     changed = True
                 hits[fl] += 1
-            yield frac, changed
+            yield fracs[i], changed
     return members, crossings()
 
 
@@ -359,13 +345,14 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     whole sweep.
 
     One pass of _crossings over the sorted breakpoints, starting from pure
-    ceiling.  Each interval stores its key (the previous interval's tuple
-    when the set did not change); index maps are built only when a
-    representative is read.  Returned sorted by lower endpoint,
+    ceiling, on the integer-first sort keys that _split builds while it
+    floors the prefix.  Each interval stores its key (the previous
+    interval's tuple when the set did not change); index maps are built
+    only when a representative is read.  Returned sorted by lower endpoint,
     pure-ceiling interval first.
     """
-    cert = _prefix_tables(mold, m)
-    members, crossings = _crossings(cert.floors, cert.fracs)
+    cert, keys = _prefix_tables(mold, m)
+    members, crossings = _crossings(cert.floors, cert.fracs, keys)
     key = _key_of(members)
     out = [AlphaInterval(_ZERO, _ZERO, key, cert)]
     prev = _ZERO
@@ -388,8 +375,7 @@ def _truncated_images(mold: Mold, m: int, bound: int, splits: list) -> set:
     """
     while not splits or splits[-1][0] < bound:
         splits.append(_split(scale(mold.element(len(splits)), m)))
-    floors, fracs = zip(*takewhile(lambda s: s[0] < bound, splits))
-    members, crossings = _crossings(floors, fracs)
+    members, crossings = _crossings(*zip(*takewhile(lambda s: s[0] < bound, splits)))
     images = {tuple(members)}
     images.update(tuple(members) for _, changed in crossings if changed)
     return {image[:bisect_left(image, bound)] for image in images}

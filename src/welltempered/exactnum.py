@@ -18,6 +18,11 @@ which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the values,
 the bits reached and the last pairs.  ``certified_sign`` orders any two
 exact values, and the comparison operators agree with it.
 
+``_split``, the discretizations' split kernel, floors a value once and
+returns (floor, fractional part, sort key).  A golden or log part's key is
+(integer, part), the integer monotone in the part and a by-product of the
+floor, so sweeps order their breakpoints mostly by integer comparisons.
+
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
 canonicalization.  They are used only where the form is already
@@ -553,9 +558,42 @@ def exact_is_integer(x: ExactValue) -> bool:
     return x.is_integer()
 
 
+# bits of a sort key's integer: at 64, no two distinct parts share one in the golden
+# sweeps at m <= 60, 100 and 200 or the metric ones at m <= 60 and 400 (checked by the
+# tests), and the parts themselves decide any tie
+_KEY_BITS = 64
+
+
 def _split(x: ExactValue) -> tuple:
-    """(floor, fractional part) of x; the part is None when x is an integer."""
-    return exact_floor(x), None if exact_is_integer(x) else exact_frac(x)
+    """(floor, fractional part, sort key) of x, flooring x once.
+
+    The part and the key are None at an integer, and the key is None for a
+    part without one.  A golden a + b*tau with int coefficients is floored
+    by one integer square root, t = floor(2^K * b*tau) with K = _KEY_BITS:
+    the floor is a + (t >> K), and t's low K bits are floor(2^K * part).  A
+    log m*log2(n) + c whose power p = n**m _power builds is floored as
+    bit_length(p) - 1 + c, and p's leading K + 1 bits are floor(2^(K + part)).
+    The key is (that integer, part): the integer is monotone in the part,
+    and equal integers fall back to the exact parts.
+    """
+    if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
+        a, b = x._a, x._b
+        if b == 0:
+            return a, None, None
+        t = _floor_int_tau(0, b << _KEY_BITS)
+        floor = a + (t >> _KEY_BITS)
+        frac = _golden(a - floor, b)
+        return floor, frac, (t & ((1 << _KEY_BITS) - 1), frac)
+    if type(x) is LogValue and x._n != 1 and (power := x._power()) is not None:
+        bits = power.bit_length()
+        floor = bits - 1 + x._c
+        frac = _log(x._m, x._n, x._c - floor, power)
+        cut = bits - 1 - _KEY_BITS
+        return floor, frac, (power >> cut if cut >= 0 else power << -cut, frac)
+    floor = exact_floor(x)
+    if exact_is_integer(x):
+        return floor, None, None
+    return floor, x - floor, None
 
 
 def _round(floor: int, frac, alpha) -> int:
@@ -582,7 +620,8 @@ def floor_alpha(x: ExactValue, alpha: Rational) -> int:
     for every alpha.
     """
     _check_alpha(alpha)
-    return _round(*_split(x), alpha)
+    floor, frac, _ = _split(x)
+    return _round(floor, frac, alpha)
 
 
 def scale(x: ExactValue, k: int) -> ExactValue:

@@ -144,7 +144,7 @@ def test_discretize_json(capsys):
 # exact rationals whose numerator or denominator passes the interpreter's
 # int-string digit limit; unbounded, 1e-10000000 runs for seconds or minutes
 HOSTILE_RATIONALS = ("1e-5000", "1e-10000000", "1e10000000", "0.1e-4299",
-                     "1/" + "9" * 5000, "9" * 4000 + "." + "1" * 4000, "x" * 3000)
+                     "1/" + "9" * 5000, "9" * 4000 + "." + "1" * 4000, "x" * 3000, "\x01" * 40)
 
 
 def assert_short_usage_error(capsys, label):
@@ -164,7 +164,8 @@ def test_discretize_alpha_validation(capsys):
         assert_short_usage_error(capsys, alpha[:20])
     # a short invalid argument is echoed whole, a long one cut with its length
     for alpha, shown in (("abc", "'abc'"),
-                         ("1/" + "9" * 5000, f"'1/{'9' * 38}'... (5002 characters)")):
+                         ("1/" + "9" * 5000, f"'1/{'9' * 38}'... (5002 characters)"),
+                         ("\x01" * 40, "'" + r"\x01" * 10 + "'... (40 characters)")):
         with pytest.raises(SystemExit):
             main(["discretize", "--mold", "F", "--m", "12", "--alpha", alpha])
         assert capsys.readouterr().err.endswith(f"error: invalid alpha {shown}\n")

@@ -25,7 +25,6 @@ from welltempered.exactnum import (
 )
 from welltempered.discretize import (
     AlphaInterval,
-    _breakpoint_key,
     _prefix_tables,
     _truncated_images,
     alpha_sweep,
@@ -414,7 +413,7 @@ def test_truncated_images_are_the_sweep_images_below_the_bound(mold, m):
         expected = {tuple(v for v in (*iv.key[0], *range(iv.key[1], bound)) if v < bound)
                     for iv in sweep}
         assert _truncated_images(mold, m, bound, splits) == expected
-        assert splits[-1][0] >= bound and all(fl < bound for fl, _ in splits[:-1])
+        assert splits[-1][0] >= bound and all(s[0] < bound for s in splits[:-1])
     grown = len(splits)
     _truncated_images(mold, m, 2 * m, splits)
     assert len(splits) == grown  # a lower bound splits nothing new
@@ -468,45 +467,94 @@ def test_sweep_keeps_keys_and_builds_representatives_on_demand():
 
 
 def _breakpoints(mold, m):
-    fracs = _prefix_tables(mold, m).fracs
-    return fracs, [i for i, frac in enumerate(fracs) if frac is not None]
+    cert, keys = _prefix_tables(mold, m)
+    return cert.fracs, keys, [i for i, frac in enumerate(cert.fracs) if frac is not None]
 
 
-def test_golden_breakpoint_keys_order_exactly():
+def _rows(sweep):
+    return [(iv.lower, iv.upper, iv.key) for iv in sweep]
+
+
+@pytest.mark.parametrize("mold, ms", [(F, (*range(1, 61), 100, 200)), (L, (*range(1, 61), 400))],
+                         ids=["F", "L"])
+def test_breakpoint_keys_order_exactly(mold, ms):
     duplicated = 0
-    for m in range(1, 61):
-        fracs, live = _breakpoints(F, m)
-        key = _breakpoint_key(fracs, live)
-        assert all(isinstance(key(i), tuple) for i in live)
-        # same order as the exact GoldenNumber sort, equal parts in index order
-        assert sorted(live, key=key) == sorted(live, key=fracs.__getitem__), m
-        duplicated += len(set(fracs[i] for i in live)) < len(live)
+    for m in ms:
+        fracs, keys, live = _breakpoints(mold, m)
+        assert all(keys[i][1] is fracs[i] for i in live)
+        # same order as the exact sort, equal parts in index order
+        assert sorted(live, key=keys.__getitem__) == sorted(live, key=fracs.__getitem__), m
+        distinct = set(fracs[i] for i in live)
+        assert len({keys[i][0] for i in live}) == len(distinct), m  # no integer collides
+        duplicated += len(distinct) < len(live)
         if m <= 24:
-            keys = [key(i) for i in live]
-            for i, ki in zip(live, keys):
-                for j, kj in zip(live, keys):
-                    assert (ki < kj) == (fracs[i] < fracs[j]), (m, i, j)
+            for i in live:
+                for j in live:
+                    assert (keys[i] < keys[j]) == (fracs[i] < fracs[j]), (m, i, j)
     assert duplicated > 30  # equal fractional parts were part of the check
-    fracs, live = _breakpoints(L, 12)
-    assert _breakpoint_key(fracs, live)(live[0]) is fracs[live[0]]
+
+
+def test_equal_log_parts_share_one_key():
+    # log2(6) = 1 + log2(3), so m * mu_5 and m * mu_2 have one fractional part
+    for m in (12, 60, 400):
+        fracs, keys, _ = _breakpoints(L, m)
+        assert fracs[5] == fracs[2] and keys[5] == keys[2]
+        assert keys[5][1] is not keys[2][1]
+
+
+def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
+    # with 2-bit keys distinct parts share integers, and only the exact
+    # tie-break on the parts keeps sweeps and census images as they were
+    exactnum = importlib.import_module("welltempered.exactnum")
+    cases = ((F, 34), (F, 100), (L, 60), (L, 400), (Q, 19))
+    rows = {(mold.name, m): _rows(alpha_sweep(mold, m)) for mold, m in cases}
+    images = {(mold.name, m): _truncated_images(mold, m, 3 * m, []) for mold, m in cases}
+    monkeypatch.setattr(exactnum, "_KEY_BITS", 2)
+    for mold, m in cases[:-1]:
+        fracs, keys, live = _breakpoints(mold, m)
+        assert len({keys[i][0] for i in live}) <= 4 < len(set(fracs[i] for i in live))
+        assert sorted(live, key=keys.__getitem__) == sorted(live, key=fracs.__getitem__), m
+    for mold, m in cases:
+        assert _rows(alpha_sweep(mold, m)) == rows[mold.name, m], (mold.name, m)
+        assert _truncated_images(mold, m, 3 * m, []) == images[mold.name, m], (mold.name, m)
+
+
+def test_keyless_or_mixed_parts_sort_by_value():
+    # rational parts have no key, and golden and log parts never share one order
+    fracs, keys, live = _breakpoints(Q, 19)
+    assert live and all(keys[i] is None for i in live)
+    mixed = ExplicitMold([0, GoldenNumber(0, 1), LogValue(1, 3, -1), GoldenNumber(1, 1), 2])
+    mixed.spacing_index = lambda m: (3, "given")
+    with pytest.raises(TypeError):
+        alpha_sweep(mixed, 1)  # as an exact sort of the parts raises
 
 
 def test_sweeps_build_few_checked_numbers(monkeypatch):
     # counts, not times: arithmetic on the sweep path takes the raw
-    # constructors, and each metric element is canonicalized once
+    # constructors, each metric element is canonicalized once, and each
+    # breakpoint is floored and keyed by one integer square root or one
+    # power, so the sort makes next to no exact comparison
     exactnum = importlib.import_module("welltempered.exactnum")
     calls = Counter()
-    for name in ("_as_coeff", "_primitive_power"):
+    for name in ("_as_coeff", "_primitive_power", "_floor_int_tau", "certified_sign"):
         def counted(*args, _name=name, _fn=getattr(exactnum, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(exactnum, name, counted)
+    monkeypatch.setattr(importlib.import_module("welltempered.discretize"), "certified_sign",
+                        exactnum.certified_sign)
     alpha_sweep(golden_fractal_mold(), 100)
     assert calls["_as_coeff"] < 100
+    golden = golden_fractal_mold()
+    prefix_end = golden.spacing_index(200)[0]
+    calls.clear()
+    alpha_sweep(golden, 200)
+    assert 0 < calls["_floor_int_tau"] <= prefix_end + 2
     horizon = truncation_certificate(L, 400).horizon
     calls.clear()
     alpha_sweep(L, 400)
     assert calls["_primitive_power"] <= horizon + 1
+    assert 0 < calls["certified_sign"] < 50
 
 
 def test_floor_alpha_is_the_discretization_rule():

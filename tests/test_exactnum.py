@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +252,39 @@ def test_floor_alpha_flips_exactly_at_frac():
     assert floor_alpha(x, below) == 20
     assert floor_alpha(x, above) == 19
     assert 0 < below < above < 1
+
+
+def test_split_floors_once_and_keys_by_integers(monkeypatch):
+    rng = random.Random(20261019)
+    golden = [GoldenNumber(rng.randint(-10 ** 6, 10 ** 6), rng.randint(-10 ** 30, 10 ** 30) or 1)
+              for _ in range(200)]
+    logs = [LogValue(rng.randint(1, 500), rng.choice((3, 5, 7, 1001)), rng.randint(-99, 99))
+            for _ in range(200)]
+    roots = Counter()
+    monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
+                        roots.update(["isqrt"]) or _fn(a, b))
+    for x in golden + logs:
+        roots.clear()
+        floor, frac, key = _split(x)
+        is_golden = type(x) is GoldenNumber
+        assert roots["isqrt"] == is_golden  # one integer square root, or none
+        assert (floor, frac) == (exact_floor(x), exact_frac(x)) and key[1] is frac
+        if is_golden:  # floor(2^64 * frac)
+            assert key[0] == exact_floor(frac * 2 ** 64)
+        else:  # floor(2^(64 + frac)): the power's 65 leading bits
+            assert certified_sign(LogValue(1, key[0]), frac + 64) <= 0
+            assert certified_sign(frac + 64, LogValue(1, key[0] + 1)) < 0
+    for family in golden, logs:
+        parts = [_split(x)[1:] for x in family]
+        assert [f for f, _ in sorted(parts, key=lambda s: s[1])] == sorted(f for f, _ in parts)
+    # integers, rationals and Fraction-coefficient golden values have no key
+    half = Fraction(1, 2)
+    for x, expected in ((7, (7, None, None)),
+                        (Fraction(7, 2), (3, half, None)),
+                        (GoldenNumber(5, 0), (5, None, None)),
+                        (LogValue(3, 1, 4), (4, None, None)),
+                        (GoldenNumber(half, 1), (1, GoldenNumber(-half, 1), None))):
+        assert _split(x) == expected
 
 
 def test_floor_alpha_rejects_bad_alpha():
@@ -716,7 +750,7 @@ def test_hostile_log_floors_are_decided_on_enclosures():
         (big.floor, fb),
         (big.ceil, fb + 1),
         (big.frac, big - fb),
-        (lambda: _split(big), (fb, big - fb)),
+        (lambda: _split(big), (fb, big - fb, None)),
     ]
     for op, expected in cases:
         start = time.perf_counter()

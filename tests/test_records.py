@@ -102,3 +102,21 @@ def test_merged_regions_at_12_are_unchanged(mold):
     rows = [(region.lower, region.upper, region.key) for region in _merged_regions(mold, 12)]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert (len(rows), digest) == MERGED_REGIONS_12[mold.name]
+
+
+# sha256 of repr([(lower, upper, key), ...]) over whole sweeps, as recorded
+# before breakpoints were sorted on integer keys
+SWEEPS = {
+    ("F", 100): (513, "a1bc88d35139c2ee674a03fd0638fda63f5527fb0c454b8d5952c83251bfa6ae"),
+    ("F", 200): (2049, "7769432f81745e7f1770a8079381826ce7049da9c74d260a7f790b3c9b19c586"),
+    ("L", 400): (290, "6406e3af8bbaab5bdff591068b62cf27e2b1b4922e87044808078ced394461e4"),
+    ("Q", 19): (17, "cceefd580e9f2acd38a5f5df512c5ca263cda8cfed5419a06a329b1693e916ca"),
+}
+
+
+@pytest.mark.parametrize("name, m", list(SWEEPS), ids=[f"{n}{m}" for n, m in SWEEPS])
+def test_sweeps_are_unchanged(name, m):
+    mold = {"F": F, "L": L, "Q": mold_q()}[name]
+    rows = [(iv.lower, iv.upper, iv.key) for iv in alpha_sweep(mold, m)]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(rows), digest) == SWEEPS[name, m]
