@@ -129,16 +129,6 @@ def _semigroup_text(s) -> str:
     return "{" + inner + "} and every n >= " + str(s.conductor)
 
 
-def _report_dict(report) -> dict:
-    return {
-        "property": report.property,
-        "verdict": report.verdict,
-        "prefix_bound": report.prefix_bound,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "detail": report.detail,
-    }
-
-
 def _report_text(report) -> str:
     if report.detail:
         return f"{report.verdict} ({report.detail})"
@@ -259,10 +249,9 @@ def _cmd_discretize(args, parser) -> Result:
             "prefix": list(s.prefix),
             "conductor": s.conductor,
             "genus": genus,
-            "verification": _report_dict(verification),
-            "collapse": {"kappa": record.kappa,
-                         "witness_index": record.witness_index},
-            "even_filterable": _report_dict(even),
+            "verification": verification._asdict(),
+            "collapse": record._asdict(),
+            "even_filterable": even._asdict(),
         })
 
 
@@ -344,8 +333,7 @@ def _cmd_theorem(args, parser) -> Result:
          ("collapse", record.kappa)],
         {"prefix": list(s.prefix),
          "conductor": s.conductor,
-         "collapse": {"kappa": record.kappa,
-                      "witness_index": record.witness_index},
+         "collapse": record._asdict(),
          "trace": [{"constraint": st.constraint, "bound": st.bound,
                     "satisfied": st.satisfied} for st in rep.trace],
          "even_filterable": [r.verdict for r in even]},

@@ -178,15 +178,35 @@ def f_ell(ell: int, n: int, p) -> ExactValue:
     return out
 
 
+def _fractal_elements(pieces: list):
+    """Elements of the fractal mold with these first-period pieces, in order.
+
+    pieces holds (o_j, w_j) per piece, the first starting at 0.  Period k+1
+    is period k scaled into every piece; each element is yielded as soon as
+    its offset is computed, and only the offsets of the previous period and
+    of the current one so far are kept.
+    """
+    prev = [pieces[0][0]]
+    yield prev[0]
+    for k in itertools.count(1):
+        offsets = []
+        for j, (o, w) in enumerate(pieces):
+            for x in prev:
+                y = o + w * x if j else w * x
+                offsets.append(y)
+                yield k + y
+        prev = offsets
+
+
 class FractalMold(Mold):
     """Fractal mold generated from a first period by proportional subdivision.
 
     The first period cuts [0, 1) into pieces, piece j starting at offset o_j
     with width w_j (up to the next cut, or to 1).  Period k+1 is period k
     scaled into every piece in turn: the concatenation over j of
-    [o_j + w_j * x for x in period k].  Elements are cached in one flat list
-    that grows only up to the largest index asked for; of the periods, only
-    the offsets of the last one built are kept.
+    [o_j + w_j * x for x in period k].  One generator computes the elements
+    in order as they are read, into one flat cache that grows only up to the
+    largest index asked for; it holds the pieces, not the mold.
     """
 
     def __init__(self, period: PeriodSpec, name: str = ""):
@@ -203,9 +223,7 @@ class FractalMold(Mold):
         ends = offsets[1:] + [period.cuts[0]]  # the last piece ends at exact 1
         self._pieces = [(o, end - o) for o, end in zip(offsets, ends)]
         self._elements: list = []
-        self._period = 0  # the period whose offsets are kept
-        self._period_start = 0  # index of that period's first element
-        self._period_offsets = [offsets[0]]
+        self._stream = _fractal_elements(self._pieces)
 
     @property
     def granularity(self) -> int:
@@ -216,32 +234,12 @@ class FractalMold(Mold):
         return ((l ** ell) - 1) // (l - 1)
 
     def element(self, i: int):
-        cache = self._elements
-        if 0 <= i < len(cache):
-            return cache[i]
         if i < 0:
             raise IndexError("mold indices start at 0")
-        while len(cache) <= i:
-            n = len(cache) - self._period_start
-            if n == len(self._period_offsets):
-                self._next_period()
-                n = 0
-            k, offsets = self._period, self._period_offsets
-            if i == len(cache):  # sequential reads: one element, no slice
-                cache.append(k + offsets[n])
-            else:
-                cache.extend([k + x for x in offsets[n:n + i + 1 - len(cache)]])
+        cache = self._elements
+        if len(cache) <= i:
+            cache.extend(itertools.islice(self._stream, i + 1 - len(cache)))
         return cache[i]
-
-    def _next_period(self) -> None:
-        prev = self._period_offsets
-        (_, w0), *rest = self._pieces  # the first piece starts at 0
-        nxt = [w0 * x for x in prev]
-        for o, w in rest:
-            nxt += [o + w * x for x in prev]
-        self._period += 1
-        self._period_start += len(prev)
-        self._period_offsets = nxt
 
     def elements(self, count: int) -> list:
         if count < 1:
@@ -366,14 +364,22 @@ def _pair_sums(values: list, limit, step: int = 1):
             yield i, j, s
 
 
-def _closure_check(values: list, prop: str) -> PropertyReport:
-    """Closure of the value list under addition, for sums inside the range."""
+def _closure_check(values: list, prop: str, bound: int, step: int = 1) -> PropertyReport:
+    """Closure of the step-th values under addition, for sums inside the range.
+
+    Each sum must be an element, and with step > 1 one on a step-th index.
+    The report carries the given bound.
+    """
     index_of = {v: k for k, v in enumerate(values)}
-    for i, j, s in _pair_sums(values, values[-1]):
-        if s not in index_of:
-            return PropertyReport(prop, "fails", len(values), (i, j),
+    for i, j, s in _pair_sums(values, values[-1], step):
+        k = index_of.get(s)
+        if k is None:
+            return PropertyReport(prop, "fails", bound, (i, j),
                                   f"mu_{i} + mu_{j} = {s} is not an element")
-    return PropertyReport(prop, "holds-on-prefix", len(values))
+        if k % step:
+            return PropertyReport(prop, "fails", bound, (i, j),
+                                  f"mu_{i} + mu_{j} = mu_{k} has odd index {k}")
+    return PropertyReport(prop, "holds-on-prefix", bound)
 
 
 def check_mold_axioms(mold: Mold, count: int,
@@ -385,6 +391,7 @@ def check_mold_axioms(mold: Mold, count: int,
     unit interval covered by the prefix must be strictly below epsilon,
     decided exactly, so a gap equal to epsilon fails.
     """
+    _check_multiplicity(count, "count must be >= 1")
     values = mold.elements(count)
     if values[0] != 0:
         return PropertyReport("mold-axioms", "fails", count, (0,), "mu_0 is not 0")
@@ -398,7 +405,7 @@ def check_mold_axioms(mold: Mold, count: int,
             if exact_floor(a) == cell and not _gap_strictly_below(a, b, gap_epsilon):
                 return PropertyReport("mold-axioms", "fails", count, (i, i + 1),
                                       f"gap at index {i} is not below {gap_epsilon}")
-    return _closure_check(values, "mold-axioms")
+    return _closure_check(values, "mold-axioms", count)
 
 
 def _gap_strictly_below(a, b, eps: Fraction) -> bool:
@@ -424,12 +431,13 @@ def generic_fractal_mold(period: PeriodSpec, count: int) -> tuple[list, Property
         ell += 1
     total = mold.start_index(ell + 1)
     values = mold.elements(total)
-    report = _closure_check(values, "fractal")
+    report = _closure_check(values, "fractal", total)
     return values, report
 
 
 def check_metric(mold: Mold, bound: int) -> PropertyReport:
     """mu_(a*b-1) == mu_(a-1) + mu_(b-1) for all 2 <= a <= b with a*b - 1 <= bound."""
+    _check_multiplicity(bound, "bound must be >= 1")
     values = mold.elements(bound + 1)
     a = 2
     while a * a - 1 <= bound:
@@ -449,17 +457,8 @@ def check_even_filterable_mold(mold: Mold, bound: int) -> PropertyReport:
     Checked for all even pairs i <= j <= bound whose sum stays inside the
     generated range.
     """
-    values = mold.elements(bound + 1)
-    index_of = {v: k for k, v in enumerate(values)}
-    for i, j, s in _pair_sums(values, values[-1], step=2):
-        k = index_of.get(s)
-        if k is None:
-            return PropertyReport("even-filterable", "fails", bound, (i, j),
-                                  f"mu_{i} + mu_{j} = {s} is not an element")
-        if k % 2 == 1:
-            return PropertyReport("even-filterable", "fails", bound, (i, j),
-                                  f"mu_{i} + mu_{j} = mu_{k} has odd index {k}")
-    return PropertyReport("even-filterable", "holds-on-prefix", bound)
+    _check_multiplicity(bound, "bound must be >= 1")
+    return _closure_check(mold.elements(bound + 1), "even-filterable", bound, step=2)
 
 
 # enclosure width below which check_fractal lets a log-valued element pass
@@ -475,6 +474,7 @@ def check_fractal(mold: Mold, periods: int) -> PropertyReport:
     a proven separation fails, agreement within _FRACTAL_GAP passes on this
     prefix.
     """
+    _check_multiplicity(periods, "periods must be >= 1")
     values = list(itertools.takewhile(lambda v: v < periods + 1,
                                      map(mold.element, itertools.count())))
     bound = len(values)

@@ -40,18 +40,8 @@ def render_compact(value, places: int = 4) -> str:
     """
     if exact_is_integer(value):
         return str(exact_floor(value))
-    if isinstance(value, (int, Fraction)):
-        f = Fraction(value)
-        d, twos, fives = f.denominator, 0, 0
-        while d % 2 == 0:
-            d //= 2
-            twos += 1
-        while d % 5 == 0:
-            d //= 5
-            fives += 1
-        digits = max(twos, fives)
-        if d == 1 and digits <= places:
-            return render_decimal(f, digits)
+    if isinstance(value, Fraction):  # the fewest decimals that are exact
+        places = next((d for d in range(places) if 10 ** d % value.denominator == 0), places)
     return render_decimal(value, places)
 
 

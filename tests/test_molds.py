@@ -1,11 +1,13 @@
 """Mold construction and mold-level property checks."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from welltempered import molds
+from welltempered.discretize import alpha_sweep
 from welltempered.exactnum import TAU, GoldenNumber, LogValue
 from welltempered.molds import (
     ExplicitMold,
@@ -112,6 +114,32 @@ def test_golden_mold_matches_generic_generation():
     random.Random(20261018).shuffle(order)
     for i in order:
         assert shuffled.element(i) == expected[i], i
+
+
+@pytest.mark.parametrize("m, most", [(100, 1033), (200, 4107)])
+def test_golden_sweep_builds_only_the_elements_it_reads(monkeypatch, m, most):
+    # a sweep reads the first two elements of the period at F's spacing
+    # index; building that whole period made 2055 and 8201 products
+    mul = GoldenNumber.__mul__
+    products = 0
+
+    def counted(self, other):
+        nonlocal products
+        products += isinstance(other, GoldenNumber)
+        return mul(self, other)
+
+    monkeypatch.setattr(GoldenNumber, "__mul__", counted)
+    alpha_sweep(golden_fractal_mold(), m)
+    assert products <= most
+
+
+def test_fractal_mold_is_freed_by_reference_counting():
+    # the element generator holds the pieces, not the mold, so no cycle
+    F = golden_fractal_mold()
+    F.elements(300)
+    ref = weakref.ref(F)
+    del F
+    assert ref() is None
 
 
 def test_f_ell_base_cases():
@@ -231,6 +259,19 @@ def test_mold_axiom_checks_hold_for_named_molds():
     assert check_mold_axioms(metric_mold(), 200).holds
     assert check_mold_axioms(golden_fractal_mold(), 200).holds
     assert check_mold_axioms(metric_mold(), 120, gap_epsilon=Fraction(1, 8)).holds
+    for count in (1, 2, 50):
+        assert check_mold_axioms(golden_fractal_mold(), count).prefix_bound == count
+
+
+@pytest.mark.parametrize("check, arg, bad", [
+    (check_mold_axioms, "count", 0),
+    (check_even_filterable_mold, "bound", -1),
+    (check_metric, "bound", -1),
+    (check_fractal, "periods", 0),
+])
+def test_mold_checks_reject_an_empty_prefix(check, arg, bad):
+    with pytest.raises(ValueError, match=f"{arg} must be >= 1"):
+        check(golden_fractal_mold(), bad)
 
 
 def test_gap_check_is_decided_exactly():
@@ -270,9 +311,9 @@ def test_metric_property():
 def test_even_filterable_mold_checks():
     assert check_even_filterable_mold(metric_mold(), 200).holds
     report = check_even_filterable_mold(golden_fractal_mold(), 20)
-    assert not report.holds
-    assert report.witness == (2, 4)
-    assert "15" in report.detail
+    assert tuple(report)[1:] == ("fails", 20, (2, 4), "mu_2 + mu_4 = mu_15 has odd index 15")
+    report = check_even_filterable_mold(mold_q(), 16)
+    assert tuple(report)[1:] == ("fails", 16, (2, 2), "mu_2 + mu_2 = mu_9 has odd index 9")
     # the 7/12 cut is not closed: an even pair sums outside the mold
     report = check_even_filterable_mold(FractalMold(PeriodSpec([1, 1 + Fraction(7, 12)])), 16)
     assert (report.verdict, report.witness) == ("fails", (2, 2))
