@@ -35,13 +35,13 @@ from .exactnum import (
     exact_floor,
     scale,
 )
-from .molds import Mold, SpacingCertificateError, _check_multiplicity
+from .molds import Mold, SpacingCertificateError, _check_multiplicity, _Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class TruncationCertificate:
+class TruncationCertificate(_Record):
     """Evidence that a discretized mold is cofinite, and the split prefix it rests on.
 
     prefix_end is the mold's spacing index N, whose spacing_index proof
@@ -58,6 +58,8 @@ class TruncationCertificate:
     Two certificates are equal when their mold name, multiplicity, prefix
     end, conductor and witness agree; mold, floors and fracs do not count.
     """
+
+    _compared = _shown = ("mold_name", "multiplicity", "prefix_end", "conductor", "witness")
 
     def __init__(self, mold_name: str, multiplicity: int, prefix_end: int, conductor: int,
                  witness: str, mold: Mold, floors: tuple, fracs: tuple):
@@ -78,23 +80,6 @@ class TruncationCertificate:
     mold = property(attrgetter("_mold"))
     floors = property(attrgetter("_floors"))
     fracs = property(attrgetter("_fracs"))
-
-    def _fields(self) -> tuple:
-        return (self._mold_name, self._multiplicity, self._prefix_end, self._conductor,
-                self._witness)
-
-    def __repr__(self) -> str:
-        return (f"TruncationCertificate(mold_name={self._mold_name!r}, "
-                f"multiplicity={self._multiplicity}, prefix_end={self._prefix_end}, "
-                f"conductor={self._conductor}, witness={self._witness!r})")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncationCertificate):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @cached_property
     def horizon(self) -> int:
@@ -128,7 +113,7 @@ def _key_of(members: list) -> tuple:
     return tuple(members[:lo]), members[lo]
 
 
-class Discretization:
+class Discretization(_Record):
     """One discretized image: its cofinite shape, with the index map on demand.
 
     prefix holds the members below the (minimal) conductor; every integer
@@ -141,8 +126,12 @@ class Discretization:
     and without storing anything.  The index map is kept because collapse
     detection needs to know which mold indices landed on the same integer.
     Two discretizations are equal when their certificates, conductors,
-    prefixes and index maps agree.
+    prefixes and index maps agree; the hash leaves the index map out, so
+    hashing never walks to the horizon.
     """
+
+    _compared = ("certificate", "conductor", "prefix", "values")
+    _shown = ("conductor", "prefix")
 
     def __init__(self, conductor: int, prefix: tuple, certificate: TruncationCertificate,
                  alpha: ExactValue, head: tuple):
@@ -155,9 +144,6 @@ class Discretization:
     conductor = property(attrgetter("_conductor"))
     prefix = property(attrgetter("_prefix"))
     certificate = property(attrgetter("_certificate"))
-
-    def __repr__(self) -> str:
-        return f"Discretization(conductor={self._conductor}, prefix={self._prefix!r})"
 
     @property
     def horizon(self) -> int:
@@ -175,14 +161,6 @@ class Discretization:
     @cached_property
     def values(self) -> tuple:
         return tuple(islice(self.iter_values(), self.horizon + 1))
-
-    def _fields(self) -> tuple:
-        return (self._certificate, self._conductor, self._prefix, self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, Discretization):
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __hash__(self):
         return hash((self._certificate, self._conductor, self._prefix))
@@ -242,7 +220,7 @@ def discretize(mold: Mold, m: int, alpha) -> Discretization:
     return _discretize_at(_prefix_tables(mold, m)[0], alpha)
 
 
-class AlphaInterval:
+class AlphaInterval(_Record):
     """A maximal-by-construction run (lower, upper] of equal image sets.
 
     The image set is constant for alpha in (lower, upper]; key is that set
@@ -256,6 +234,9 @@ class AlphaInterval:
     keys and certificates agree.
     """
 
+    _compared = ("lower", "upper", "key", "certificate")
+    _shown = ("lower", "upper", "key")
+
     def __init__(self, lower: ExactValue, upper: ExactValue, key: tuple,
                  certificate: TruncationCertificate):
         self._lower = lower
@@ -267,20 +248,6 @@ class AlphaInterval:
     upper = property(attrgetter("_upper"))
     key = property(attrgetter("_key"))
     certificate = property(attrgetter("_certificate"))
-
-    def _fields(self) -> tuple:
-        return (self._lower, self._upper, self._key, self._certificate)
-
-    def __repr__(self) -> str:
-        return f"AlphaInterval(lower={self._lower!r}, upper={self._upper!r}, key={self._key!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, AlphaInterval):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @cached_property
     def representative(self) -> Discretization:

@@ -6,12 +6,15 @@ pi_k(M) collects the elements in [k, k+1), and the granularity is the size
 of the first period.  Everything here works on exact values (Fraction,
 GoldenNumber, LogValue); every verdict is prefix-bounded and reported with
 the checked bound and, on failure, the smallest lexicographic witness.
+_Record, the base of PeriodSpec and of the semigroup and discretization
+records, gives them equality, hashing and repr from two field lists.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Union
@@ -48,7 +51,36 @@ class PropertyReport(NamedTuple):
         return self.verdict == "holds-on-prefix"
 
 
-class PeriodSpec:
+class _Record:
+    """Equality, hashing and repr of the hand-written records, from two field lists.
+
+    A record class names public fields in _compared, which make two records
+    of that class equal and hash alike, and in _shown, which its repr prints
+    as Name(field=value, ...).  Records of different classes never compare
+    equal.
+    """
+
+    __slots__ = ()
+    _compared: tuple = ()
+    _shown: tuple = ()
+
+    def _compared_values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared_values() == other._compared_values()
+
+    def __hash__(self):
+        return hash(self._compared_values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class PeriodSpec(_Record):
     """First period of a fractal mold: cut values 1 = c_0 < c_1 < ... < 2.
 
     All cuts must live in a single exact family: rational, or the golden
@@ -57,6 +89,7 @@ class PeriodSpec:
     """
 
     __slots__ = ("_cuts",)
+    _compared = _shown = ("cuts",)
 
     def __init__(self, cuts: Sequence[CutValue]):
         raw = []
@@ -84,17 +117,6 @@ class PeriodSpec:
         self._cuts = tuple(norm)
 
     cuts = property(attrgetter("_cuts"))
-
-    def __repr__(self) -> str:
-        return f"PeriodSpec(cuts={self._cuts!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, PeriodSpec):
-            return NotImplemented
-        return self._cuts == other._cuts
-
-    def __hash__(self):
-        return hash(self._cuts)
 
     @property
     def granularity(self) -> int:
@@ -425,6 +447,7 @@ def generic_fractal_mold(period: PeriodSpec, count: int) -> tuple[list, Property
     full periods are always compared.  Returns (elements, report); failures
     carry the smallest lexicographic witness pair of element indices.
     """
+    _check_multiplicity(count, "count must be >= 1")
     mold = FractalMold(period)
     ell = 1
     while mold.start_index(ell + 1) < count:
@@ -439,15 +462,11 @@ def check_metric(mold: Mold, bound: int) -> PropertyReport:
     """mu_(a*b-1) == mu_(a-1) + mu_(b-1) for all 2 <= a <= b with a*b - 1 <= bound."""
     _check_multiplicity(bound, "bound must be >= 1")
     values = mold.elements(bound + 1)
-    a = 2
-    while a * a - 1 <= bound:
-        b = a
-        while a * b - 1 <= bound:
+    for a in range(2, math.isqrt(bound + 1) + 1):
+        for b in range(a, (bound + 1) // a + 1):
             if values[a * b - 1] != values[a - 1] + values[b - 1]:
                 return PropertyReport("metric", "fails", bound, (a, b),
                                       f"mu_{a * b - 1} != mu_{a - 1} + mu_{b - 1}")
-            b += 1
-        a += 1
     return PropertyReport("metric", "holds-on-prefix", bound)
 
 
@@ -475,8 +494,12 @@ def check_fractal(mold: Mold, periods: int) -> PropertyReport:
     prefix.
     """
     _check_multiplicity(periods, "periods must be >= 1")
-    values = list(itertools.takewhile(lambda v: v < periods + 1,
-                                     map(mold.element, itertools.count())))
+    try:
+        values = list(itertools.takewhile(lambda v: v < periods + 1,
+                                         map(mold.element, itertools.count())))
+    except IndexError:
+        raise ValueError(f"mold {mold.name!r}: its prefix ends before period {periods} "
+                         "is complete") from None
     bound = len(values)
     grouped: list[list] = [[] for _ in range(periods + 1)]
     for v in values:
@@ -639,10 +662,8 @@ def period_uniqueness_scan(grid_step: Fraction, prefix: int) -> ScanResult:
     survivors = []
     violations = []
     degenerate = []
-    k = 1
-    while k * grid_step < 1:
+    for k in range(1, math.ceil(1 / grid_step)):
         p = k * grid_step
-        k += 1
         if p == half:
             continue
         values = FractalMold(PeriodSpec([Fraction(1), 1 + p])).elements(prefix)

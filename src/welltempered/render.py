@@ -1,19 +1,21 @@
 """Fixed-point decimal rendering of exact values.
 
 Every printed decimal is the round-half-even rendering of the exact value
-at the requested number of places.  Floats never enter the pipeline, so
-the same value always renders to the same bytes.
+at the requested number of places.  Floats never enter the pipeline: each
+renderer rejects a value that is not exact (a float, a bool, a string)
+with TypeError, so the same value always renders to the same bytes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import certified_floor, exact_floor, exact_is_integer, scale
+from .exactnum import certified_floor, exact_floor, exact_is_integer, is_exact_value, scale
 
 
 def render_decimal(value, places: int = 4) -> str:
     """Round-half-even fixed-point rendering with exactly `places` decimals."""
+    _check_exact(value)
     if places < 0:
         raise ValueError("places must be nonnegative")
     k = 10 ** places
@@ -38,6 +40,7 @@ def render_compact(value, places: int = 4) -> str:
 
     Everything else gets `places` decimals, round-half-even.
     """
+    _check_exact(value)
     if exact_is_integer(value):
         return str(exact_floor(value))
     if isinstance(value, Fraction):  # the fewest decimals that are exact
@@ -47,6 +50,10 @@ def render_compact(value, places: int = 4) -> str:
 
 def render_exact(value) -> str:
     """The exact symbolic form: a+b*tau, m*log2(n)+c, or p/q."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError("render_exact needs an exact value")
+    _check_exact(value)
     return str(value)
+
+
+def _check_exact(value) -> None:
+    if not is_exact_value(value):
+        raise TypeError(f"cannot render {value!r}: not an exact value")

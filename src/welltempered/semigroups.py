@@ -14,14 +14,15 @@ half-closed-pipe condition.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import pairwise
 from operator import attrgetter
 from typing import NamedTuple
 
 from .discretize import Discretization, _key_of
-from .molds import PropertyReport, _pair_sums
+from .molds import PropertyReport, _pair_sums, _Record
 
 
-class NumericalSemigroup:
+class NumericalSemigroup(_Record):
     """Cofinite additive submonoid of the naturals, canonical form.
 
     prefix holds the members strictly below conductor; every integer at or
@@ -32,6 +33,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("_prefix", "_conductor")
+    _compared = _shown = ("prefix", "conductor")
 
     def __init__(self, prefix: tuple, conductor: int):
         self._prefix = prefix
@@ -40,21 +42,10 @@ class NumericalSemigroup:
     prefix = property(attrgetter("_prefix"))
     conductor = property(attrgetter("_conductor"))
 
-    def __repr__(self) -> str:
-        return f"NumericalSemigroup(prefix={self._prefix!r}, conductor={self._conductor!r})"
-
-    def __eq__(self, other):
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self._prefix == other._prefix and self._conductor == other._conductor
-
-    def __hash__(self):
-        return hash((self._prefix, self._conductor))
-
     def __contains__(self, n) -> bool:
         if not isinstance(n, int) or isinstance(n, bool):
             return False
-        return n >= self.conductor or n in self.prefix
+        return self.index_of(n) is not None
 
     def element(self, i: int) -> int:
         if i < 0:
@@ -140,11 +131,9 @@ def collapse(d: Discretization) -> CollapseRecord:
 
     The map is streamed from the mold, so no horizon is computed.
     """
-    previous = None
-    for i, value in enumerate(d.iter_values()):
+    for i, (previous, value) in enumerate(pairwise(d.iter_values())):
         if value == previous:
-            return CollapseRecord(value, i - 1)
-        previous = value
+            return CollapseRecord(value, i)
 
 
 def even_filterable_semigroup(d: Discretization) -> PropertyReport:

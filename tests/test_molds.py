@@ -274,6 +274,12 @@ def test_mold_checks_reject_an_empty_prefix(check, arg, bad):
         check(golden_fractal_mold(), bad)
 
 
+def test_generic_fractal_mold_rejects_an_empty_count():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            generic_fractal_mold(golden_period_spec(), bad)
+
+
 def test_gap_check_is_decided_exactly():
     # a gap equal to epsilon is not below it, and a tie of two logs is a
     # verdict, not an enclosure that never separates
@@ -377,6 +383,13 @@ def test_explicit_mold_boundaries():
     report = check_fractal(ExplicitMold([0, Fraction(1, 2), 1, Fraction(3, 2), 2]), 1)
     assert (report.verdict, report.witness) == ("fails", (0,))
     assert report.detail.startswith("need one element in period 0")
+    # a prefix that ends inside the checked periods is an error, not a verdict
+    with pytest.raises(ValueError, match="'listed': its prefix ends before period 1 is complete"):
+        check_fractal(mold, 1)
+    longer = ExplicitMold([0, 1, Fraction(3, 2), 2, Fraction(9, 4), Fraction(5, 2)])
+    assert check_fractal(longer, 1).holds
+    with pytest.raises(ValueError, match="before period 2 is complete"):
+        check_fractal(longer, 2)
 
 
 def test_period_spec_validation():

@@ -92,8 +92,13 @@ def test_exact_forms():
     assert render_exact(LogValue(12, 5, -27)) == "12*log2(5)-27"
     assert render_exact(Fraction(5, 4)) == "5/4"
     assert render_exact(2) == "2"
-    with pytest.raises(TypeError):
-        render_exact(0.5)
+
+
+@pytest.mark.parametrize("render", [render_decimal, render_compact, render_exact])
+@pytest.mark.parametrize("value", [0.5, "abc", None], ids=["float", "str", "None"])
+def test_renderers_reject_inexact_values(render, value):
+    with pytest.raises(TypeError, match="not an exact value"):
+        render(value)
 
 
 def test_validation():
