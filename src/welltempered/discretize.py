@@ -19,7 +19,7 @@ something reads them.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, groupby, islice, takewhile
@@ -30,6 +30,7 @@ from .exactnum import (
     Rational,
     _check_alpha,
     _round,
+    _scaled_splits,
     _split,
     certified_sign,
     exact_floor,
@@ -176,7 +177,9 @@ def _check_step(mold: Mold, i: int, current, following) -> None:
 def _prefix_tables(mold: Mold, m: int) -> tuple:
     """(certificate, keys): m * mu_i split for i <= prefix_end, and the parts' sort keys.
 
-    The step at prefix_end is checked first.  That one exact check, the
+    Each distinct fractional part is split once (_scaled_splits), and the
+    indices that share it share one part object and one key.  The step at
+    prefix_end is checked first.  That one exact check, the
     walk's first step with the walk's error, reads element prefix_end + 1
     and no further.  A bad step further on is caught when the walk to the
     horizon runs.  Only sweeps read the keys, so the certificate does not
@@ -186,8 +189,7 @@ def _prefix_tables(mold: Mold, m: int) -> tuple:
     prefix_end, witness = mold.spacing_index(m)
     _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
                 scale(mold.element(prefix_end + 1), m))
-    floors, fracs, keys = zip(*(_split(scale(mold.element(i), m))
-                                for i in range(prefix_end + 1)))
+    floors, fracs, keys = zip(*map(_scaled_splits(m), mold.elements(prefix_end + 1)))
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
                                  mold, floors, fracs), keys
@@ -269,32 +271,44 @@ def _crossings(floors, fracs, keys):
     Crossing each distinct nonzero fractional part, in increasing order,
     moves its indices from ceiling to floor, which updates a hit count per
     integer and, when a count reaches or leaves zero, members in place;
-    crossings yields (frac, changed) after each.  The parts are sorted and
-    grouped on keys, _split's sort keys, which order them exactly: integers
-    first, the parts themselves only where the integers tie.  Unless every
-    part has a key and all are of one family, they are sorted by value.
+    crossings yields (frac, changed) after each.  Indices holding one part
+    object (as _scaled_splits shares them) are gathered first, so only the
+    distinct objects are sorted and grouped, on keys, _split's sort keys,
+    which order them exactly: integers first, the parts themselves only
+    where the integers tie.  Unless every part has a key and all are of one
+    family, they are sorted by value.
     """
-    hits = Counter(fl if frac is None else fl + 1 for fl, frac in zip(floors, fracs))
+    hits = {}
+    for fl, frac in zip(floors, fracs):
+        top = fl if frac is None else fl + 1
+        hits[top] = hits.get(top, 0) + 1
     members = sorted(hits)
-    live = [i for i, frac in enumerate(fracs) if frac is not None]
-    if None in map(keys.__getitem__, live) or len({type(fracs[i]) for i in live}) > 1:
+    sharing = defaultdict(list)  # the indices of each part object
+    for i, frac in enumerate(fracs):
+        if frac is not None:
+            sharing[id(frac)].append(i)
+    firsts = [group[0] for group in sharing.values()]
+    if None in map(keys.__getitem__, firsts) or len({type(fracs[i]) for i in firsts}) > 1:
         keys = fracs
-    order = sorted(live, key=keys.__getitem__)
+    order = sorted(firsts, key=keys.__getitem__)
 
     def crossings():
-        for _, group in groupby(order, key=keys.__getitem__):
+        for _, run in groupby(order, key=keys.__getitem__):
             changed = False
-            for i in group:
-                fl = floors[i]
-                hits[fl + 1] -= 1
-                if not hits[fl + 1]:
-                    del members[bisect_left(members, fl + 1)]
-                    changed = True
-                if not hits[fl]:
-                    insort(members, fl)
-                    changed = True
-                hits[fl] += 1
-            yield fracs[i], changed
+            for first in run:
+                for i in sharing[id(fracs[first])]:
+                    fl = floors[i]
+                    left = hits[fl + 1] - 1
+                    hits[fl + 1] = left
+                    if not left:
+                        del members[bisect_left(members, fl + 1)]
+                        changed = True
+                    held = hits.get(fl, 0)
+                    if not held:
+                        insort(members, fl)
+                        changed = True
+                    hits[fl] = held + 1
+            yield fracs[first], changed
     return members, crossings()
 
 
@@ -340,8 +354,9 @@ def _truncated_images(mold: Mold, m: int, bound: int, splits: list) -> set:
     _split(m * mu_i) of the leading indices, is extended as far as read, so
     a caller raising bound for one (mold, m) splits each element once.
     """
+    split = _scaled_splits(m)
     while not splits or splits[-1][0] < bound:
-        splits.append(_split(scale(mold.element(len(splits)), m)))
+        splits.append(split(mold.element(len(splits))))
     members, crossings = _crossings(*zip(*takewhile(lambda s: s[0] < bound, splits)))
     images = {tuple(members)}
     images.update(tuple(members) for _, changed in crossings if changed)

@@ -16,12 +16,16 @@ a golden or log value and (r, r) for a rational, and it doubles bits from
 64 until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096), past
 which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the values,
 the bits reached and the last pairs.  ``certified_sign`` orders any two
-exact values, and the comparison operators agree with it.
+exact values.  The comparison operators agree with it within a family and
+against a rational, but a golden number and a log have no operator order:
+``<`` between them raises TypeError in either order.
 
 ``_split``, the discretizations' split kernel, floors a value once and
 returns (floor, fractional part, sort key).  A golden or log part's key is
 (integer, part), the integer monotone in the part and a by-product of the
 floor, so sweeps order their breakpoints mostly by integer comparisons.
+``_scaled_splits`` splits the m-multiples of a sequence, once per distinct
+fractional part; values with one part share its part and key objects.
 
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
@@ -344,7 +348,8 @@ class LogValue:
     _power, cached per (mult, arg) and declined past _EXACT_POWER_BITS, where
     enclosures decide instead.  A rational goes to certified_sign, which
     orders a small denominator exactly through _log_order and a large one
-    through enclosures.
+    through enclosures.  A golden number has no operator order against a
+    log (< raises TypeError); certified_sign orders the two by enclosures.
     """
 
     __slots__ = ("_m", "_n", "_c", "_pow")
@@ -594,6 +599,34 @@ def _split(x: ExactValue) -> tuple:
     if exact_is_integer(x):
         return floor, None, None
     return floor, x - floor, None
+
+
+def _scaled_splits(m: int):
+    """A function x -> _split(m * x) that floors and keys each distinct part once.
+
+    m * x is an integer plus a component, m*b*tau of a golden a + b*tau with
+    int coefficients or (m*mult)*log2(arg) of a log.  The component's split
+    is kept, keyed on m*b or (m*mult, arg); a later x with that component
+    costs one addition and shares the kept part and key objects.  Any other
+    value is scaled and split on its own.
+    """
+    memo = {}
+
+    def split(x: ExactValue) -> tuple:
+        if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
+            offset, component = x._a * m, x._b * m
+        elif type(x) is LogValue and x._n != 1:
+            offset, component = x._c * m, (x._m * m, x._n)
+        else:
+            return _split(scale(x, m))
+        kept = memo.get(component)
+        if kept is None:
+            kept = memo[component] = _split(_golden(0, component) if type(component) is int
+                                            else _log(*component, 0))
+        s, frac, key = kept
+        return offset + s, frac, key
+
+    return split
 
 
 def _round(floor: int, frac, alpha) -> int:

@@ -24,6 +24,7 @@ from .exactnum import (
     ExactValue,
     GoldenNumber,
     LogValue,
+    _golden,
     certified_decision,
     certified_sign,
     exact_floor,
@@ -159,15 +160,29 @@ class Mold:
 
 
 class MetricMold(Mold):
-    """The unique normalized metric mold: element i is log2(i + 1)."""
+    """The unique normalized metric mold: element i is log2(i + 1).
+
+    Elements are kept once built.  log2(2^s * r) is log2(r) + s, an offset
+    bump, so only odd arguments are canonicalized.
+    """
 
     name = "L"
     kind = "metric"
 
+    def __init__(self):
+        self._logs = {}  # log2(n) by n
+
     def element(self, i: int) -> LogValue:
         if i < 0:
             raise IndexError("mold indices start at 0")
-        return LogValue.log2(i + 1)
+        return self._log2(i + 1)
+
+    def _log2(self, n: int) -> LogValue:
+        v = self._logs.get(n)
+        if v is None:
+            twos = (n & -n).bit_length() - 1
+            v = self._logs[n] = self._log2(n >> twos) + twos if twos else LogValue.log2(n)
+        return v
 
     def spacing_index(self, m: int) -> tuple[int, str]:
         _check_multiplicity(m, "multiplicity must be >= 1")
@@ -206,17 +221,24 @@ def _fractal_elements(pieces: list):
     pieces holds (o_j, w_j) per piece, the first starting at 0.  Period k+1
     is period k scaled into every piece; each element is yielded as soon as
     its offset is computed, and only the offsets of the previous period and
-    of the current one so far are kept.
+    of the current one so far are kept.  Offsets are (a, b) coefficient
+    pairs of a + b*tau, so one number is built per element: a GoldenNumber,
+    or k + a for rational cuts, whose b stay 0.
     """
-    prev = [pieces[0][0]]
-    yield prev[0]
+    golden = isinstance(pieces[0][0], GoldenNumber)
+    pairs = [[(v.a, v.b) if golden else (v, 0) for v in piece] for piece in pieces]
+    prev = [pairs[0][0]]
+    yield pieces[0][0]
     for k in itertools.count(1):
         offsets = []
-        for j, (o, w) in enumerate(pieces):
-            for x in prev:
-                y = o + w * x if j else w * x
-                offsets.append(y)
-                yield k + y
+        for (oa, ob), (wa, wb) in pairs:
+            for xa, xb in prev:
+                if golden:  # o + w*x, with tau^2 = 1 - tau
+                    ya, yb = oa + wa * xa + wb * xb, ob + wa * xb + wb * (xa - xb)
+                else:
+                    ya, yb = oa + wa * xa, 0
+                offsets.append((ya, yb))
+                yield _golden(k + ya, yb) if golden else k + ya
         prev = offsets
 
 

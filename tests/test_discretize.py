@@ -499,7 +499,7 @@ def test_equal_log_parts_share_one_key():
     for m in (12, 60, 400):
         fracs, keys, _ = _breakpoints(L, m)
         assert fracs[5] == fracs[2] and keys[5] == keys[2]
-        assert keys[5][1] is not keys[2][1]
+        assert keys[5][1] is keys[2][1]  # one split, shared
 
 
 def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
@@ -532,8 +532,8 @@ def test_keyless_or_mixed_parts_sort_by_value():
 def test_sweeps_build_few_checked_numbers(monkeypatch):
     # counts, not times: arithmetic on the sweep path takes the raw
     # constructors, each metric element is canonicalized once, and each
-    # breakpoint is floored and keyed by one integer square root or one
-    # power, so the sort makes next to no exact comparison
+    # distinct breakpoint is floored and keyed by one integer square root
+    # or one power, so the sort makes next to no exact comparison
     exactnum = importlib.import_module("welltempered.exactnum")
     calls = Counter()
     for name in ("_as_coeff", "_primitive_power", "_floor_int_tau", "certified_sign"):
@@ -541,20 +541,48 @@ def test_sweeps_build_few_checked_numbers(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(exactnum, name, counted)
+    powers = Counter()  # arg**mult built, by (mult, arg)
+    power = LogValue._power
+
+    def counted_power(self):
+        if self._pow is None and self._has_power():
+            powers[self._m, self._n] += 1
+        return power(self)
+
+    monkeypatch.setattr(LogValue, "_power", counted_power)
     monkeypatch.setattr(importlib.import_module("welltempered.discretize"), "certified_sign",
                         exactnum.certified_sign)
     alpha_sweep(golden_fractal_mold(), 100)
     assert calls["_as_coeff"] < 100
     golden = golden_fractal_mold()
-    prefix_end = golden.spacing_index(200)[0]
+    distinct = len(set(_prefix_tables(golden_fractal_mold(), 200)[0].fracs) - {None})
     calls.clear()
     alpha_sweep(golden, 200)
-    assert 0 < calls["_floor_int_tau"] <= prefix_end + 2
+    assert 0 < calls["_floor_int_tau"] <= distinct + 2  # one root per distinct part
     horizon = truncation_certificate(L, 400).horizon
     calls.clear()
-    alpha_sweep(L, 400)
+    powers.clear()
+    fracs = alpha_sweep(L, 400)[0].certificate.fracs
     assert calls["_primitive_power"] <= horizon + 1
     assert 0 < calls["certified_sign"] < 50
+    # m*log2(2^k * r) has the part of m*log2(r): one power per (mult, arg),
+    # past the two of the checked first step, for about half as many parts
+    parts = {(f.mult, f.arg) for f in fracs if f is not None}
+    assert parts <= set(powers) and len(set(powers) - parts) <= 1
+    assert sum(powers.values()) <= len(powers) + 2 and len(parts) < len(fracs) / 1.9
+
+
+@pytest.mark.parametrize("mold, m", [(F, 100), (F, 200), (L, 400), (L, 60)],
+                         ids=["F100", "F200", "L400", "L60"])
+def test_equal_parts_of_one_sweep_are_one_object(mold, m):
+    sweep = alpha_sweep(mold, m)
+    parts = [f for f in sweep[0].certificate.fracs if f is not None]
+    distinct = set(parts)
+    assert len({id(f) for f in parts}) == len(distinct) < len(parts)
+    # each breakpoint is the shared object itself
+    by_value = {f: f for f in parts}
+    assert all(by_value[iv.upper] is iv.upper for iv in sweep[1:-1])
+    assert len(sweep) == len(distinct) + 2
 
 
 def test_floor_alpha_is_the_discretization_rule():

@@ -30,6 +30,7 @@ from welltempered.exactnum import (
     exact_frac,
     floor_alpha,
     rational_between,
+    scale,
 )
 
 
@@ -287,6 +288,29 @@ def test_split_floors_once_and_keys_by_integers(monkeypatch):
         assert _split(x) == expected
 
 
+def test_scaled_splits_split_each_distinct_part_once(monkeypatch):
+    rng = random.Random(20261020)
+    values = [GoldenNumber(rng.randint(-50, 50), rng.randint(-9, 9)) for _ in range(300)]
+    values += [LogValue(rng.randint(1, 3), rng.choice((3, 5, 12, 40)), rng.randint(-9, 9))
+               for _ in range(300)]
+    values += [Fraction(rng.randint(-99, 99), 7), LogValue(2, 1, 5), GoldenNumber(Fraction(1, 2), 1)]
+    roots = Counter()
+    monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
+                        roots.update(["isqrt"]) or _fn(a, b))
+    for m in (1, 7, 400):
+        expected = [_split(scale(x, m)) for x in values]
+        roots.clear()
+        split, parts = exactnum._scaled_splits(m), {}
+        for k, (x, each) in enumerate(zip(values, expected)):
+            floor, frac, key = split(x)
+            assert (floor, frac, key) == each, (m, x)
+            if k < 600 and key is not None:  # equal parts are one object, with one key
+                assert parts.setdefault(frac, (frac, key)) == (frac, key)
+                assert parts[frac][0] is frac and parts[frac][1] is key
+        golden_parts = {m * x.b for x in values[:300] if x.b}
+        assert roots["isqrt"] == len(golden_parts) + 1  # and the Fraction-coefficient one
+
+
 def test_floor_alpha_rejects_bad_alpha():
     with pytest.raises(ValueError):
         floor_alpha(TAU, Fraction(3, 2))
@@ -340,10 +364,14 @@ def test_certified_sign_golden_vs_log_agrees_with_high_precision():
 
 
 def test_cross_compare_mixed_direct_comparison_raises():
-    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
-        for args in ((TAU, LogValue(1, 3)), (LogValue(1, 3), TAU)):
-            with pytest.raises(TypeError):
-                compare(*args)
+    # the operators give no order across golden and log values, in either
+    # order, while certified_sign orders the same pairs
+    for g, v, sign in ((TAU, LogValue(1, 3), -1), (GoldenNumber(1, 1), LogValue(1, 3), 1)):
+        assert certified_sign(g, v) == sign == -certified_sign(v, g)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for args in ((g, v), (v, g)):
+                with pytest.raises(TypeError):
+                    compare(*args)
 
 
 def test_certified_sign_rejects_inexact_values():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from welltempered import molds
+from welltempered import exactnum, molds
 from welltempered.discretize import alpha_sweep
 from welltempered.exactnum import TAU, GoldenNumber, LogValue
 from welltempered.molds import (
@@ -119,18 +119,51 @@ def test_golden_mold_matches_generic_generation():
 @pytest.mark.parametrize("m, most", [(100, 1033), (200, 4107)])
 def test_golden_sweep_builds_only_the_elements_it_reads(monkeypatch, m, most):
     # a sweep reads the first two elements of the period at F's spacing
-    # index; building that whole period made 2055 and 8201 products
-    mul = GoldenNumber.__mul__
-    products = 0
+    # index; building that whole period made 2055 and 8201 products.  The
+    # generator multiplies coefficient pairs, so it builds one number per
+    # element read and no product of GoldenNumbers
+    mul, golden = GoldenNumber.__mul__, molds._golden
+    products = built = 0
 
     def counted(self, other):
         nonlocal products
         products += isinstance(other, GoldenNumber)
         return mul(self, other)
 
+    def counted_golden(a, b):
+        nonlocal built
+        built += 1
+        return golden(a, b)
+
     monkeypatch.setattr(GoldenNumber, "__mul__", counted)
-    alpha_sweep(golden_fractal_mold(), m)
+    monkeypatch.setattr(molds, "_golden", counted_golden)
+    mold = golden_fractal_mold()
+    alpha_sweep(mold, m)
     assert products <= most
+    assert built == mold.spacing_index(m)[0] + 1 <= most  # elements 1..prefix_end + 1
+
+
+def test_metric_mold_canonicalizes_each_odd_argument_once(monkeypatch):
+    # log2(2^s * r) = log2(r) + s, so even arguments reuse their odd parts
+    calls = 0
+    primitive_power = exactnum._primitive_power
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return primitive_power(n)
+
+    monkeypatch.setattr(exactnum, "_primitive_power", counted)
+    L = metric_mold()
+    alpha_sweep(L, 400)
+    assert calls <= 290
+    expected, read = LogValue.log2(401), calls + 1
+    assert L.element(11) is L.element(11) == LogValue(1, 3, 2)
+    assert L.element(400) == expected and calls == read  # kept, not rebuilt
+    assert L.element(2 ** 3000 - 1) == LogValue(1, 1, 3000)  # no halving recursion
+    ref = weakref.ref(L)
+    del L
+    assert ref() is None
 
 
 def test_fractal_mold_is_freed_by_reference_counting():
