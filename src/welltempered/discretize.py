@@ -13,17 +13,18 @@ TruncationCertificate per (mold, m) carries the spacing proof and the
 split prefix that fix every image set, and d.certificate and
 interval.certificate expose it.  Its walk to the horizon, which re-checks
 the steps past N exactly, and the index maps are computed only when
-something reads them.
+something reads them.  A sweep keeps no image set per interval: it logs
+the members each crossing moves, and an interval's key is replayed from
+that log when it is first read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, groupby, islice, takewhile
-from operator import attrgetter
+from operator import attrgetter, invert, itemgetter
 
 from .exactnum import (
     ExactValue,
@@ -174,25 +175,49 @@ def _check_step(mold: Mold, i: int, current, following) -> None:
             f"mold {mold.name!r}: scaled step at index {i} is not below 1")
 
 
+def _grouped(splits) -> tuple:
+    """(floors, fracs, hits, groups) of (floor, frac, key) splits, in one pass.
+
+    hits counts the splits that round to each integer at pure ceiling.
+    groups holds one list [key, frac, floor, floor, ...] per part object,
+    with the floors of the splits that share it, as _scaled_splits shares
+    equal parts.
+    """
+    floors, fracs, hits, groups = [], [], {}, {}
+    for floor, frac, key in splits:
+        floors.append(floor)
+        fracs.append(frac)
+        if frac is None:
+            hits[floor] = hits.get(floor, 0) + 1
+            continue
+        hits[floor + 1] = hits.get(floor + 1, 0) + 1
+        group = groups.get(id(frac))
+        if group is None:
+            group = groups[id(frac)] = [key, frac]
+        group.append(floor)
+    return floors, fracs, hits, groups
+
+
 def _prefix_tables(mold: Mold, m: int) -> tuple:
-    """(certificate, keys): m * mu_i split for i <= prefix_end, and the parts' sort keys.
+    """(certificate, hits, groups): m * mu_i split for i <= prefix_end, and grouped.
 
     Each distinct fractional part is split once (_scaled_splits), and the
     indices that share it share one part object and one key.  The step at
     prefix_end is checked first.  That one exact check, the
     walk's first step with the walk's error, reads element prefix_end + 1
     and no further.  A bad step further on is caught when the walk to the
-    horizon runs.  Only sweeps read the keys, so the certificate does not
-    keep them.
+    horizon runs.  Only sweeps read hits and groups (see _grouped), so the
+    certificate does not keep them.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
     _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
                 scale(mold.element(prefix_end + 1), m))
-    floors, fracs, keys = zip(*map(_scaled_splits(m), mold.elements(prefix_end + 1)))
+    floors, fracs, hits, groups = _grouped(map(_scaled_splits(m),
+                                               mold.elements(prefix_end + 1)))
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
-                                 mold, floors, fracs), keys
+                                 mold, tuple(floors), tuple(fracs)), hits, groups
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
@@ -200,14 +225,27 @@ def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
 
     Eager: the walk to the horizon runs before this returns.
     """
-    cert, _ = _prefix_tables(mold, m)
+    cert = _prefix_tables(mold, m)[0]
     cert.horizon  # walks now
     return cert
 
 
 def _discretize_at(cert: TruncationCertificate, alpha) -> Discretization:
-    """The image at threshold alpha, which may be any exact value."""
-    head = tuple(_round(fl, frac, alpha) for fl, frac in zip(cert.floors, cert.fracs))
+    """The image at threshold alpha, which may be any exact value.
+
+    Each part object is rounded once, for all the indices that share it.
+    """
+    ups = {}  # 0 or 1 per part object
+
+    def rounded(floor, frac):
+        if frac is None:
+            return floor
+        up = ups.get(id(frac))
+        if up is None:
+            up = ups[id(frac)] = _round(0, frac, alpha)
+        return floor + up
+
+    head = tuple(map(rounded, cert.floors, cert.fracs))
     prefix, conductor = _key_of(sorted(set(head)))
     return Discretization(conductor, prefix, cert, alpha, head)
 
@@ -226,7 +264,9 @@ class AlphaInterval(_Record):
     """A maximal-by-construction run (lower, upper] of equal image sets.
 
     The image set is constant for alpha in (lower, upper]; key is that set
-    as (prefix, conductor), stored eagerly.  representative, the full
+    as (prefix, conductor).  A sweep's interval holds only its position in
+    the sweep's move log, and its key is replayed from the log on first
+    read (given a log, key is that position).  representative, the full
     discretization at alpha = upper with its index map, is built on first
     access from certificate, the one record of the sweep's (mold, m) that
     its intervals and their representatives share.  The distinguished
@@ -239,17 +279,23 @@ class AlphaInterval(_Record):
     _compared = ("lower", "upper", "key", "certificate")
     _shown = ("lower", "upper", "key")
 
-    def __init__(self, lower: ExactValue, upper: ExactValue, key: tuple,
-                 certificate: TruncationCertificate):
+    def __init__(self, lower: ExactValue, upper: ExactValue, key,
+                 certificate: TruncationCertificate, log: _MoveLog | None = None):
         self._lower = lower
         self._upper = upper
         self._key = key
         self._certificate = certificate
+        self._log = log
 
     lower = property(attrgetter("_lower"))
     upper = property(attrgetter("_upper"))
-    key = property(attrgetter("_key"))
     certificate = property(attrgetter("_certificate"))
+
+    @property
+    def key(self) -> tuple:
+        if self._log is None:
+            return self._key
+        return self._log.key(self._key)
 
     @cached_property
     def representative(self) -> Discretization:
@@ -265,51 +311,74 @@ class AlphaInterval(_Record):
         return certified_sign(self.lower, alpha) < 0 <= certified_sign(self.upper, alpha)
 
 
-def _crossings(floors, fracs, keys):
-    """(members, crossings): the sorted image at pure ceiling, and the pass moving it.
+def _crossings(hits: dict, groups: dict, moves: list):
+    """Cross each distinct nonzero fractional part in increasing order, logging moves.
 
-    Crossing each distinct nonzero fractional part, in increasing order,
-    moves its indices from ceiling to floor, which updates a hit count per
-    integer and, when a count reaches or leaves zero, members in place;
-    crossings yields (frac, changed) after each.  Indices holding one part
-    object (as _scaled_splits shares them) are gathered first, so only the
-    distinct objects are sorted and grouped, on keys, _split's sort keys,
+    hits (integer -> indices rounding to it) and groups are _grouped's, at
+    pure ceiling; the members are the integers with a nonzero count.
+    Crossing a part moves the indices of its groups from ceiling to floor,
+    which updates the counts; each member that leaves is appended to moves
+    as ~v, each that enters as v.  Yields (part, len(moves)) after each
+    crossing.  The groups are sorted once on their keys, _split's sort keys,
     which order them exactly: integers first, the parts themselves only
     where the integers tie.  Unless every part has a key and all are of one
     family, they are sorted by value.
     """
-    hits = {}
-    for fl, frac in zip(floors, fracs):
-        top = fl if frac is None else fl + 1
-        hits[top] = hits.get(top, 0) + 1
-    members = sorted(hits)
-    sharing = defaultdict(list)  # the indices of each part object
-    for i, frac in enumerate(fracs):
-        if frac is not None:
-            sharing[id(frac)].append(i)
-    firsts = [group[0] for group in sharing.values()]
-    if None in map(keys.__getitem__, firsts) or len({type(fracs[i]) for i in firsts}) > 1:
-        keys = fracs
-    order = sorted(firsts, key=keys.__getitem__)
+    entries = list(groups.values())
+    by_value = (None in map(itemgetter(0), entries)
+                or len({type(entry[1]) for entry in entries}) > 1)
+    order = itemgetter(1 if by_value else 0)
+    entries.sort(key=order)
+    for _, run in groupby(entries, key=order):
+        for entry in run:
+            for fl in islice(entry, 2, None):
+                left = hits[fl + 1] - 1
+                hits[fl + 1] = left
+                if not left:
+                    moves.append(~(fl + 1))
+                held = hits.get(fl, 0)
+                if not held:
+                    moves.append(fl)
+                hits[fl] = held + 1
+        yield entry[1], len(moves)
 
-    def crossings():
-        for _, run in groupby(order, key=keys.__getitem__):
-            changed = False
-            for first in run:
-                for i in sharing[id(fracs[first])]:
-                    fl = floors[i]
-                    left = hits[fl + 1] - 1
-                    hits[fl + 1] = left
-                    if not left:
-                        del members[bisect_left(members, fl + 1)]
-                        changed = True
-                    held = hits.get(fl, 0)
-                    if not held:
-                        insort(members, fl)
-                        changed = True
-                    hits[fl] = held + 1
-            yield fracs[first], changed
-    return members, crossings()
+
+class _MoveLog:
+    """A sweep's member moves, with the set after any prefix of them replayed on demand.
+
+    moves holds v for a member entering and ~v for one leaving, in crossing
+    order, from the sorted image at pure ceiling.  One cursor list is
+    replayed to the position asked for: forward through the moves, or back
+    through their inverses (~move), so reads in either order cost one pass
+    in all.  Keys are cached per position, so the intervals at one position
+    share one tuple.
+    """
+
+    __slots__ = ("moves", "_members", "_at", "_keys")
+
+    def __init__(self, start: list):
+        self.moves = []
+        self._members = start
+        self._at = 0
+        self._keys = {}
+
+    def members(self, at: int) -> list:
+        """The sorted members after the first `at` moves, as the cursor's own list."""
+        members, moves, now = self._members, self.moves, self._at
+        steps = moves[now:at] if at >= now else map(invert, reversed(moves[at:now]))
+        for move in steps:
+            if move < 0:
+                del members[bisect_left(members, ~move)]
+            else:
+                insort(members, move)
+        self._at = at
+        return members
+
+    def key(self, at: int) -> tuple:
+        key = self._keys.get(at)
+        if key is None:
+            key = self._keys[at] = _key_of(self.members(at))
+        return key
 
 
 def alpha_sweep(mold: Mold, m: int) -> list:
@@ -325,24 +394,22 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     at alpha = upper.  The horizon is computed on first read, once for the
     whole sweep.
 
-    One pass of _crossings over the sorted breakpoints, starting from pure
-    ceiling, on the integer-first sort keys that _split builds while it
-    floors the prefix.  Each interval stores its key (the previous
-    interval's tuple when the set did not change); index maps are built
-    only when a representative is read.  Returned sorted by lower endpoint,
+    One grouped pass over the prefix, then one pass of _crossings over the
+    sorted breakpoints, starting from pure ceiling, on the integer-first
+    sort keys that _split builds while it floors the prefix.  Each interval
+    holds its position in the sweep's log of member moves; its key is
+    replayed from the log when first read, and index maps are built only
+    when a representative is read.  Returned sorted by lower endpoint,
     pure-ceiling interval first.
     """
-    cert, keys = _prefix_tables(mold, m)
-    members, crossings = _crossings(cert.floors, cert.fracs, keys)
-    key = _key_of(members)
-    out = [AlphaInterval(_ZERO, _ZERO, key, cert)]
-    prev = _ZERO
-    for frac, changed in crossings:
-        out.append(AlphaInterval(prev, frac, key, cert))
-        prev = frac
-        if changed:
-            key = _key_of(members)
-    out.append(AlphaInterval(prev, _ONE, key, cert))
+    cert, hits, groups = _prefix_tables(mold, m)
+    log = _MoveLog(sorted(hits))
+    out = [AlphaInterval(_ZERO, _ZERO, 0, cert, log)]
+    prev, at = _ZERO, 0
+    for frac, end in _crossings(hits, groups, log.moves):
+        out.append(AlphaInterval(prev, frac, at, cert, log))
+        prev, at = frac, end
+    out.append(AlphaInterval(prev, _ONE, at, cert, log))
     return out
 
 
@@ -357,10 +424,10 @@ def _truncated_images(mold: Mold, m: int, bound: int, splits: list) -> set:
     split = _scaled_splits(m)
     while not splits or splits[-1][0] < bound:
         splits.append(split(mold.element(len(splits))))
-    members, crossings = _crossings(*zip(*takewhile(lambda s: s[0] < bound, splits)))
-    images = {tuple(members)}
-    images.update(tuple(members) for _, changed in crossings if changed)
-    return {image[:bisect_left(image, bound)] for image in images}
+    _, _, hits, groups = _grouped(takewhile(lambda s: s[0] < bound, splits))
+    log = _MoveLog(sorted(hits))
+    ends = sorted({0, *(end for _, end in _crossings(hits, groups, log.moves))})
+    return {tuple(members[:bisect_left(members, bound)]) for members in map(log.members, ends)}
 
 
 def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:

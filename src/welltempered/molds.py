@@ -295,11 +295,14 @@ class FractalMold(Mold):
         _check_multiplicity(m, "multiplicity must be >= 1")
         rho = max(w for _, w in self._pieces)
         bound = Fraction(1, m)
-        ell = 1
-        power = rho
-        while not power < bound:
+        # the least ell >= 1 with rho^ell < 1/m: a float estimate only picks
+        # where to start, and exact comparisons move it there (two when right)
+        estimate = float(rho)
+        ell = max(1, math.ceil(math.log(m) / -math.log(estimate))) if 0 < estimate < 1 else 1
+        while ell > 1 and rho ** (ell - 1) < bound:
+            ell -= 1
+        while not rho ** ell < bound:
             ell += 1
-            power = power * rho
         return self.start_index(ell), f"rho^{ell} < 1/{m} with rho the largest first-period gap"
 
 

@@ -448,15 +448,22 @@ def test_interval_lookup_agrees_with_a_linear_scan():
             interval_for_alpha(sweep, outside)
 
 
-def test_sweep_keeps_keys_and_builds_representatives_on_demand():
+def _sweep_peak(m):
+    """alpha_sweep of a fresh golden mold at m, and its tracemalloc peak in MiB."""
+    mold = golden_fractal_mold()  # its elements are built inside the trace
     tracemalloc.start()
     try:
-        sweep = alpha_sweep(F, 100)
+        sweep = alpha_sweep(mold, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return sweep, peak / 2 ** 20
+
+
+def test_sweep_builds_keys_and_representatives_on_demand():
+    sweep, peak = _sweep_peak(100)
     assert len(sweep) == 513
-    assert peak < 6 * 2 ** 20
+    assert peak < 0.6  # 0.47 MiB on CPython 3.11; 0.72 with a key tuple per change
     assert all("representative" not in vars(iv) for iv in sweep)
     # a crossing that leaves the set unchanged hands on the same key tuple
     assert all((a.key == b.key) == (a.key is b.key) for a, b in zip(sweep[1:], sweep[2:]))
@@ -466,8 +473,64 @@ def test_sweep_keeps_keys_and_builds_representatives_on_demand():
     assert (rep.prefix, rep.conductor) == sweep[-1].key
 
 
+def test_sweep_memory_grows_with_the_prefix_not_the_keys():
+    # the sweep logs member moves; a tuple per change made this 7.9 MiB
+    sweep, peak = _sweep_peak(400)
+    assert len(sweep) == 4097
+    assert peak < 5  # 3.9 MiB on CPython 3.11
+
+
+def test_sweep_keys_are_built_on_first_read(monkeypatch):
+    module = importlib.import_module("welltempered.discretize")
+    built = []
+    key_of = module._key_of
+    monkeypatch.setattr(module, "_key_of", lambda members: built.append(1) or key_of(members))
+    sweep = alpha_sweep(F, 200)
+    assert len(sweep) == 2049 and not built
+    last = sweep[-1].key
+    assert len(built) == 1 and sweep[-1].key is last and len(built) == 1
+    # one build per log position: intervals whose set no crossing changed
+    # share their position, and so one tuple
+    keys = [iv.key for iv in sweep]
+    assert len(built) == len({id(key) for key in keys}) < len(sweep)
+
+
+@pytest.mark.parametrize("mold, m", [(F, 100), (L, 400), (Q, 19)], ids=["F100", "L400", "Q19"])
+def test_keys_read_in_any_order_agree(mold, m):
+    in_order = [iv.key for iv in alpha_sweep(mold, m)]
+    backward = alpha_sweep(mold, m)
+    assert [iv.key for iv in reversed(backward)][::-1] == in_order
+    shuffled = alpha_sweep(mold, m)
+    order = list(range(len(shuffled)))
+    random.Random(m).shuffle(order)
+    keys = {k: shuffled[k].key for k in order}
+    assert [keys[k] for k in range(len(shuffled))] == in_order
+    for iv, key in zip(shuffled, in_order):
+        rep = iv.representative
+        assert (rep.prefix, rep.conductor) == key
+
+
+def test_discretize_rounds_each_distinct_part_once(monkeypatch):
+    # _round reads exactnum's binding, so that is the one counted
+    exactnum = importlib.import_module("welltempered.exactnum")
+    calls = []
+    sign = exactnum.certified_sign
+    monkeypatch.setattr(exactnum, "certified_sign", lambda *args: calls.append(1) or sign(*args))
+    d = discretize(F, 2000, Fraction(1, 3))
+    parts = [frac for frac in d.certificate.fracs if frac is not None]
+    distinct = len({id(frac) for frac in parts})
+    assert distinct == 32767 and len(parts) == 65519
+    assert len(calls) <= distinct + 8  # the rest check the spacing and the first step
+    calls.clear()
+    d = discretize(L, 400, Fraction(2, 5))
+    distinct = len({id(frac) for frac in d.certificate.fracs if frac is not None})
+    assert len(calls) <= distinct + 8
+
+
 def _breakpoints(mold, m):
-    cert, keys = _prefix_tables(mold, m)
+    # the sort key of each index, as its part's group holds it
+    cert, _, groups = _prefix_tables(mold, m)
+    keys = [None if frac is None else groups[id(frac)][0] for frac in cert.fracs]
     return cert.fracs, keys, [i for i, frac in enumerate(cert.fracs) if frac is not None]
 
 
