@@ -19,13 +19,13 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .discretize import discretize
 from .exactnum import PrecisionBudgetExceeded, scale
 from .molds import (
     FractalMold,
     PeriodSpec,
+    _Record,
     golden_fractal_mold,
     golden_period_spec,
     metric_mold,
@@ -59,20 +59,17 @@ SEARCH_BOUND = TAIL_START - 1  # searched up to here, the tail covers the rest
 # past the --m and --count ranges a command would run for minutes
 _M_RANGE = range(1, 2001)
 _COUNT_RANGE = range(1, 10001)
+_GRANULARITY_RANGE = range(2, 10001)  # past it, --exact listings run to megabytes
 _PLACES_RANGE = range(0, 13)  # --precision and --depth
 
 
-class Result(NamedTuple):
-    """One command's output in every format, and its exit code.
+class Result(_Record):
+    """One command's output in every format (text lines, csv rows, a json payload), and
+    its exit code.  `main` writes the csv rows with `csv.writer`, which quotes a field
+    that holds a comma."""
 
-    `csv` holds rows of fields; `main` writes them with `csv.writer`, which
-    quotes a field that holds a comma.
-    """
-
-    text: list[str]
-    csv: list[tuple]
-    json: dict
-    code: int = 0
+    _fields = ("text", "csv", "json", "code")
+    _defaults = (0,)
 
 
 def _listing(column: str, meta: dict, key: str, values: list) -> Result:
@@ -139,10 +136,7 @@ def _pick_mold(args, parser):
     if args.mold == "perfect":
         if args.granularity is None:
             parser.error("--granularity is required with --mold perfect")
-        try:
-            return perfect_fractal_mold(args.granularity)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return perfect_fractal_mold(args.granularity)
     if args.granularity is not None:
         parser.error("--granularity only applies to --mold perfect")
     return {"L": metric_mold, "F": golden_fractal_mold,
@@ -398,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     show = actions.add_parser("show", help="print the first elements of a mold")
     show.add_argument("--mold", required=True,
                       choices=("L", "F", "Q", "D", "perfect"))
-    show.add_argument("--granularity", type=int, default=None)
+    show.add_argument("--granularity", type=_bounded(_GRANULARITY_RANGE), default=None)
     show.add_argument("--count", type=_bounded(_COUNT_RANGE), default=12)
     _add_common(show, precision=True, exact=True)
     show.set_defaults(handler=_cmd_mold_show)
@@ -414,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "discretize", help="discretize a mold and report its properties")
     disc.add_argument("--mold", required=True,
                       choices=("L", "F", "Q", "D", "perfect"))
-    disc.add_argument("--granularity", type=int, default=None)
+    disc.add_argument("--granularity", type=_bounded(_GRANULARITY_RANGE), default=None)
     disc.add_argument("--m", type=_bounded(_M_RANGE), required=True)
     disc.add_argument("--alpha", required=True,
                       help="rounding threshold in [0, 1], decimal or fraction")

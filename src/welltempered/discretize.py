@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, groupby, islice, takewhile
-from operator import attrgetter, invert, itemgetter
+from operator import invert, itemgetter
 
 from .exactnum import (
     ExactValue,
@@ -61,27 +61,9 @@ class TruncationCertificate(_Record):
     end, conductor and witness agree; mold, floors and fracs do not count.
     """
 
-    _compared = _shown = ("mold_name", "multiplicity", "prefix_end", "conductor", "witness")
-
-    def __init__(self, mold_name: str, multiplicity: int, prefix_end: int, conductor: int,
-                 witness: str, mold: Mold, floors: tuple, fracs: tuple):
-        self._mold_name = mold_name
-        self._multiplicity = multiplicity
-        self._prefix_end = prefix_end
-        self._conductor = conductor
-        self._witness = witness
-        self._mold = mold
-        self._floors = floors
-        self._fracs = fracs
-
-    mold_name = property(attrgetter("_mold_name"))
-    multiplicity = property(attrgetter("_multiplicity"))
-    prefix_end = property(attrgetter("_prefix_end"))
-    conductor = property(attrgetter("_conductor"))
-    witness = property(attrgetter("_witness"))
-    mold = property(attrgetter("_mold"))
-    floors = property(attrgetter("_floors"))
-    fracs = property(attrgetter("_fracs"))
+    _fields = ("mold_name", "multiplicity", "prefix_end", "conductor", "witness", "mold",
+               "floors", "fracs")
+    _compared = _fields[:5]
 
     @cached_property
     def horizon(self) -> int:
@@ -132,20 +114,9 @@ class Discretization(_Record):
     hashing never walks to the horizon.
     """
 
+    _fields = ("conductor", "prefix", "certificate", "_alpha", "_head")
     _compared = ("certificate", "conductor", "prefix", "values")
     _shown = ("conductor", "prefix")
-
-    def __init__(self, conductor: int, prefix: tuple, certificate: TruncationCertificate,
-                 alpha: ExactValue, head: tuple):
-        self._conductor = conductor
-        self._prefix = prefix
-        self._certificate = certificate
-        self._alpha = alpha
-        self._head = head
-
-    conductor = property(attrgetter("_conductor"))
-    prefix = property(attrgetter("_prefix"))
-    certificate = property(attrgetter("_certificate"))
 
     @property
     def horizon(self) -> int:
@@ -276,9 +247,12 @@ class AlphaInterval(_Record):
     keys and certificates agree.
     """
 
+    # _fields names the stored attributes, for the properties; __init__ below takes key and log
+    _fields = ("lower", "upper", "_key", "certificate", "_log")
     _compared = ("lower", "upper", "key", "certificate")
     _shown = ("lower", "upper", "key")
 
+    # set directly, not bound by _Record's constructor: a sweep builds one per breakpoint
     def __init__(self, lower: ExactValue, upper: ExactValue, key,
                  certificate: TruncationCertificate, log: _MoveLog | None = None):
         self._lower = lower
@@ -286,10 +260,6 @@ class AlphaInterval(_Record):
         self._key = key
         self._certificate = certificate
         self._log = log
-
-    lower = property(attrgetter("_lower"))
-    upper = property(attrgetter("_upper"))
-    certificate = property(attrgetter("_certificate"))
 
     @property
     def key(self) -> tuple:

@@ -40,15 +40,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Union
 
-Rational = Union[int, Fraction]
-Coeff = Union[int, Fraction]
+Rational = int | Fraction
 
 _TAU_FLOAT = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _as_coeff(x: Coeff) -> Coeff:
+def _as_coeff(x: Rational) -> Rational:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"coefficient must be int or Fraction, got {type(x).__name__}")
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -100,14 +98,14 @@ def _sign_u_v_sqrt5(u: int, v: int) -> int:
     return 1 if u * u > 5 * v * v else -1
 
 
-def _cleared(a: Coeff, b: Coeff) -> tuple[int, int, int]:
+def _cleared(a: Rational, b: Rational) -> tuple[int, int, int]:
     """(q*a, q*b, q) for the least positive integer q that clears both denominators."""
     fa, fb = Fraction(a), Fraction(b)
     q = math.lcm(fa.denominator, fb.denominator)
     return int(fa * q), int(fb * q), q
 
 
-def _sign_a_b_tau(a: Coeff, b: Coeff) -> int:
+def _sign_a_b_tau(a: Rational, b: Rational) -> int:
     """Sign of a + b*tau for rational a, b."""
     if not (type(a) is int and type(b) is int):
         a, b, _ = _cleared(a, b)
@@ -137,16 +135,16 @@ class GoldenNumber:
 
     __slots__ = ("_a", "_b")
 
-    def __init__(self, a: Coeff = 0, b: Coeff = 0):
+    def __init__(self, a: Rational = 0, b: Rational = 0):
         self._a = _as_coeff(a)
         self._b = _as_coeff(b)
 
     @property
-    def a(self) -> Coeff:
+    def a(self) -> Rational:
         return self._a
 
     @property
-    def b(self) -> Coeff:
+    def b(self) -> Rational:
         return self._b
 
     def __repr__(self) -> str:
@@ -272,7 +270,7 @@ class GoldenNumber:
         return (a + b * tau_hi, a + b * tau_lo)
 
 
-def _golden(a: Coeff, b: Coeff) -> GoldenNumber:
+def _golden(a: Rational, b: Rational) -> GoldenNumber:
     """GoldenNumber(a, b), skipping the coefficient checks when both are int."""
     if type(a) is int and type(b) is int:
         g = object.__new__(GoldenNumber)
@@ -529,7 +527,7 @@ def _log_order(x: LogValue, y: LogValue) -> int:
     return 1 if px > py else -1
 
 
-ExactValue = Union[int, Fraction, GoldenNumber, LogValue]
+ExactValue = int | Fraction | GoldenNumber | LogValue
 
 
 def is_exact_value(x) -> bool:

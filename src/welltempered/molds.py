@@ -6,8 +6,8 @@ pi_k(M) collects the elements in [k, k+1), and the granularity is the size
 of the first period.  Everything here works on exact values (Fraction,
 GoldenNumber, LogValue); every verdict is prefix-bounded and reported with
 the checked bound and, on failure, the smallest lexicographic witness.
-_Record, the base of PeriodSpec and of the semigroup and discretization
-records, gives them equality, hashing and repr from two field lists.
+_Record, the base of every record in the package, builds each record's
+fields, equality, hashing and repr from its field lists.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     TAU,
@@ -31,39 +31,65 @@ from .exactnum import (
     scale,
 )
 
-CutValue = Union[int, Fraction, GoldenNumber]
+CutValue = int | Fraction | GoldenNumber
 
 
 class SpacingCertificateError(ValueError):
     """Raised when a mold cannot certify a spacing bound for truncation."""
 
 
-class PropertyReport(NamedTuple):
-    """Outcome of a prefix-bounded mold property check."""
-
-    property: str  # "mold-axioms" | "metric" | "fractal" | "even-filterable"
-    verdict: str  # "holds-on-prefix" | "fails"
-    prefix_bound: int
-    witness: Optional[tuple] = None
-    detail: str = ""
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds-on-prefix"
-
-
 class _Record:
-    """Equality, hashing and repr of the hand-written records, from two field lists.
+    """The one record protocol: fields, equality, hashing and repr from field lists.
 
-    A record class names public fields in _compared, which make two records
-    of that class equal and hash alike, and in _shown, which its repr prints
-    as Name(field=value, ...).  Records of different classes never compare
-    equal.
+    _fields lists the constructor's arguments, and _defaults the values of
+    the trailing ones.  A public field is stored as _name behind a read-only
+    property; a field named _name is stored as is.  Like a function, the
+    constructor raises TypeError on an unknown, missing, repeated or extra
+    argument.  Two records of one class are equal, and hash alike, when the
+    fields in _compared (all, by default) agree; repr shows those in _shown
+    (_compared, by default).  Records of different classes are never equal.
     """
 
     __slots__ = ()
-    _compared: tuple = ()
-    _shown: tuple = ()
+    _fields: tuple = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._stored = tuple(name if name.startswith("_") else "_" + name for name in cls._fields)
+        for name, stored in zip(cls._fields, cls._stored):
+            if name != stored:
+                setattr(cls, name, property(attrgetter(stored)))
+        cls._compared = vars(cls).get("_compared", cls._fields)
+        cls._shown = vars(cls).get("_shown", cls._compared)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for stored, value in zip(self._stored, args):
+            setattr(self, stored, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords or defaults, checked."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        given = dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults))
+        given.update(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in fields[:len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+            given[field] = value
+        missing = [field for field in fields if field not in given]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        return [given[field] for field in fields]
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def _compared_values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compared)
@@ -81,6 +107,18 @@ class _Record:
         return f"{type(self).__name__}({shown})"
 
 
+class PropertyReport(_Record):
+    """Outcome of a prefix-bounded property check: its name, verdict
+    ("holds-on-prefix" or "fails"), bound, and on failure witness and detail."""
+
+    _fields = ("property", "verdict", "prefix_bound", "witness", "detail")
+    _defaults = (None, "")
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict == "holds-on-prefix"
+
+
 class PeriodSpec(_Record):
     """First period of a fractal mold: cut values 1 = c_0 < c_1 < ... < 2.
 
@@ -90,7 +128,7 @@ class PeriodSpec(_Record):
     """
 
     __slots__ = ("_cuts",)
-    _compared = _shown = ("cuts",)
+    _fields = ("cuts",)
 
     def __init__(self, cuts: Sequence[CutValue]):
         raw = []
@@ -115,9 +153,7 @@ class PeriodSpec(_Record):
                 raise ValueError("cuts must be strictly increasing")
         if not norm[-1] < 2:
             raise ValueError("cuts must stay below 2")
-        self._cuts = tuple(norm)
-
-    cuts = property(attrgetter("_cuts"))
+        super().__init__(tuple(norm))
 
     @property
     def granularity(self) -> int:
@@ -430,7 +466,7 @@ def _closure_check(values: list, prop: str, bound: int, step: int = 1) -> Proper
 
 
 def check_mold_axioms(mold: Mold, count: int,
-                      gap_epsilon: Optional[Fraction] = None) -> PropertyReport:
+                      gap_epsilon: Fraction | None = None) -> PropertyReport:
     """Zero start, strict monotonicity and closure on the first `count` elements.
 
     The vanishing-gap axiom is a limit statement; with `gap_epsilon` given,
@@ -557,7 +593,7 @@ def check_fractal(mold: Mold, periods: int) -> PropertyReport:
     return PropertyReport("fractal", "holds-on-prefix", bound)
 
 
-def _certified_subdivision_match(actual, left, o, right) -> Optional[bool]:
+def _certified_subdivision_match(actual, left, o, right) -> bool | None:
     """Compare actual against left + o*(right - left) through enclosures.
 
     True is never returned: enclosures only ever prove separation (False)
@@ -583,20 +619,17 @@ def _iv_mul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]) -> tuple
     return (min(products), max(products))
 
 
-class UniquenessCertificate(NamedTuple):
+class UniquenessCertificate(_Record):
     """Exact evidence that tau is the only granularity-2 proportion in (1/2, 1).
 
     The closure constraint 2*(1+p) in M forces one of three polynomials to
     vanish; each factors over the integers, and only p^2 + p - 1 has a root
-    strictly between 1/2 and 1, namely tau.
+    strictly between 1/2 and 1, namely tau, the root.  factorizations holds
+    ((cubic, factors), ...) as coefficient tuples.
     """
 
-    root: GoldenNumber
-    root_satisfies_quadratic: bool
-    root_in_open_interval: bool
-    factorizations: tuple  # ((cubic, factors), ...) as coefficient tuples
-    factorizations_verified: bool
-    alternative_roots_excluded: bool
+    _fields = ("root", "root_satisfies_quadratic", "root_in_open_interval",
+               "factorizations", "factorizations_verified", "alternative_roots_excluded")
 
 
 def _poly_mul(p: tuple, q: tuple) -> tuple:
@@ -654,14 +687,12 @@ def uniqueness_certificate() -> UniquenessCertificate:
     )
 
 
-class ScanResult(NamedTuple):
-    grid_step: Fraction
-    prefix: int
-    tolerance: Fraction
-    survivors: tuple  # grid proportions passing both axiom sieves
-    violations: tuple  # (p, worst closure violation) for each survivor
-    degenerate: tuple  # grid proportions whose prefix gaps fall below tolerance
-    certificate: UniquenessCertificate
+class ScanResult(_Record):
+    """Grid proportions passing both axiom sieves (survivors), with (p, worst
+    closure violation) for each, and those whose gaps fall below tolerance."""
+
+    _fields = ("grid_step", "prefix", "tolerance", "survivors", "violations", "degenerate",
+               "certificate")
 
 
 def period_uniqueness_scan(grid_step: Fraction, prefix: int) -> ScanResult:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import pairwise
-from operator import attrgetter
-from typing import NamedTuple
 
 from .discretize import Discretization, _key_of
 from .molds import PropertyReport, _pair_sums, _Record
@@ -33,14 +31,7 @@ class NumericalSemigroup(_Record):
     """
 
     __slots__ = ("_prefix", "_conductor")
-    _compared = _shown = ("prefix", "conductor")
-
-    def __init__(self, prefix: tuple, conductor: int):
-        self._prefix = prefix
-        self._conductor = conductor
-
-    prefix = property(attrgetter("_prefix"))
-    conductor = property(attrgetter("_conductor"))
+    _fields = ("prefix", "conductor")
 
     def __contains__(self, n) -> bool:
         if not isinstance(n, int) or isinstance(n, bool):
@@ -119,11 +110,10 @@ def genus_multiplicity(s: NumericalSemigroup):
     return gaps, len(gaps), s.element(1)
 
 
-class CollapseRecord(NamedTuple):
-    """Smallest integer hit by two consecutive discretized mold indices."""
+class CollapseRecord(_Record):
+    """Smallest integer kappa hit by two consecutive mold indices: witness_index and the next."""
 
-    kappa: int
-    witness_index: int
+    _fields = ("kappa", "witness_index")
 
 
 def collapse(d: Discretization) -> CollapseRecord:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import NamedTuple
 
 from .discretize import AlphaInterval, _discretize_at, _truncated_images, alpha_sweep
 from .exactnum import (
@@ -32,14 +31,13 @@ from .exactnum import (
 )
 from .molds import (
     Mold,
-    PropertyReport,
     _check_multiplicity,
+    _Record,
     golden_fractal_mold,
     metric_mold,
 )
 from .render import render_decimal
 from .semigroups import (
-    CollapseRecord,
     NumericalSemigroup,
     collapse,
     even_filterable_semigroup,
@@ -47,67 +45,56 @@ from .semigroups import (
 )
 
 
-class SimultaneousMatch(NamedTuple):
-    """One semigroup realized by both molds, with the threshold regions.
+class SimultaneousMatch(_Record):
+    """One semigroup realized by both molds at m, in regions interval_L and interval_F.
 
-    even_filterable is each side's verdict, read at its region's upper end
-    only.  The collapse can move inside a region (at m = 3 the golden side
-    has a region holding collapses 8 and 9), but up to m = 34 the verdict
-    is the same on every sweep interval of every region, as
+    even_filterable is each side's PropertyReport, read at its region's
+    upper end only.  The collapse can move inside a region (at m = 3 the
+    golden side has a region holding collapses 8 and 9), but up to m = 34
+    the verdict is the same on every sweep interval of every region, as
     test_even_filterability_is_constant_on_each_region checks.
     """
 
-    m: int
-    interval_L: AlphaInterval
-    interval_F: AlphaInterval
-    semigroup: NumericalSemigroup
-    even_filterable: tuple[PropertyReport, PropertyReport]
+    _fields = ("m", "interval_L", "interval_F", "semigroup", "even_filterable")
 
 
-class TailCertificate(NamedTuple):
-    """Analytic infeasibility witness for a multiplicity and all larger ones."""
+class TailCertificate(_Record):
+    """Analytic infeasibility witness for a multiplicity m and all larger ones: anchor
+    is hit by both scaled molds at index 3, and comparison is the certified verdict
+    on m*phi_4 versus m*lambda_4 + 2."""
 
-    m: int
-    anchor: int  # the element both scaled molds hit exactly at index 3
-    comparison: str  # certified verdict on m*phi_4 versus m*lambda_4 + 2
-    detail: str
-
-
-class ConstraintStep(NamedTuple):
-    """One replayed deduction in the uniqueness argument."""
-
-    constraint: str
-    description: str
-    bound: str
-    satisfied: bool
+    _fields = ("m", "anchor", "comparison", "detail")
 
 
-class UniquenessReport(NamedTuple):
-    """The unique multiplicity-12 match plus its derivation trace."""
+class ConstraintStep(_Record):
+    """One replayed deduction in the uniqueness argument, and whether it holds."""
 
-    match: SimultaneousMatch
-    collapse_record: CollapseRecord
-    trace: tuple[ConstraintStep, ...]
+    _fields = ("constraint", "description", "bound", "satisfied")
+
+
+class UniquenessReport(_Record):
+    """The unique multiplicity-12 match, its CollapseRecord and its ConstraintStep trace."""
+
+    _fields = ("match", "collapse_record", "trace")
 
     @property
     def semigroup(self) -> NumericalSemigroup:
         return self.match.semigroup
 
 
-class ReferenceMatch(NamedTuple):
-    """A known threshold pair and the leading elements of its semigroup."""
+class ReferenceMatch(_Record):
+    """A known threshold pair (alpha_L, alpha_F) and the leading elements of its semigroup."""
 
-    alpha_L: Fraction
-    alpha_F: Fraction
-    prefix: tuple[int, ...]
+    _fields = ("alpha_L", "alpha_F", "prefix")
 
 
 # the well-tempered harmonic semigroup, the unique multiplicity-12 answer
 WELL_TEMPERED_H = NumericalSemigroup(
     prefix=(0, 12, 19, 24, 28, 31, 34, 36, 38, 40, 42, 43), conductor=45)
 
-# Known feasibility sets and one reference witness per feasible
-# multiplicity; the command-line theorem checks compare against these.
+# Known feasibility sets, which the command-line theorem checks compare
+# against, and one reference witness per feasible multiplicity, which the
+# tests compare against.
 FEASIBLE_MULTIPLICITIES = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 18})
 EVEN_FILTERABLE_MULTIPLICITIES = frozenset({1, 2, 3, 4, 5, 6, 7, 8, 10, 12})
 

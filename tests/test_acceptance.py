@@ -2,10 +2,14 @@
 worked examples, closure suites, uniqueness of the golden cut, oracle
 agreement, and run-to-run determinism."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import random
 import time
 import types
+import typing
 from fractions import Fraction
 
 import welltempered
@@ -263,3 +267,31 @@ def test_package_exports_every_public_name_once():
     public = {name for name, value in vars(welltempered).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(exported) == public
+
+
+def _package_functions():
+    """Every function and method defined in the package's modules, unwrapped."""
+    for info in pkgutil.iter_modules(welltempered.__path__):
+        module = importlib.import_module(f"welltempered.{info.name}")
+        values = list(vars(module).values())
+        values += [member for cls in values
+                   if isinstance(cls, type) and cls.__module__ == module.__name__
+                   for member in vars(cls).values()]
+        for value in values:
+            for attr in ("fget", "func", "__func__"):  # property, cached_property, classmethod
+                value = getattr(value, attr, value)
+            value = inspect.unwrap(value)  # lru_cache
+            if inspect.isfunction(value) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_every_annotation_in_the_package_resolves():
+    # annotations are kept as strings, so a name missing from a module
+    # fails only when they are evaluated
+    functions, failures = set(_package_functions()), []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:
+            failures.append(f"{fn.__module__}.{fn.__qualname__}: {exc!r}")
+    assert len(functions) > 150 and not failures, failures

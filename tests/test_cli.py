@@ -353,7 +353,12 @@ def test_integer_flags_are_bounded_at_parse_time(capsys):
     for argv in (["search", "--m", "100000"],
                  ["discretize", "--mold", "L", "--m", "1000000", "--alpha", "1/2"],
                  ["table", "--m", "12", "--count", "3000000"],
-                 ["mold", "show", "--mold", "L", "--count", "5000000"]):
+                 ["mold", "show", "--mold", "L", "--count", "5000000"],
+                 # writes 80 MB of digits
+                 ["mold", "show", "--mold", "perfect", "--granularity", "1" + "0" * 4000,
+                  "--count", "10000", "--exact"],
+                 ["discretize", "--mold", "perfect", "--granularity", "1", "--m", "2",
+                  "--alpha", "1/2"]):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -361,18 +366,19 @@ def test_integer_flags_are_bounded_at_parse_time(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert capsys.readouterr().out == ""
     for argv in (["table", "--m", "2000", "--count", "1"],
-                 ["mold", "show", "--mold", "F", "--count", "10000"]):
+                 ["mold", "show", "--mold", "F", "--count", "10000"],
+                 ["mold", "show", "--mold", "perfect", "--granularity", "10000"]):
         code, out, _ = run(capsys, argv)
         assert code == 0 and out, argv
 
 
 def test_cold_import_skips_dataclasses_and_inspect():
-    # every command starts a fresh interpreter; site may load unrelated
-    # modules first, so only the modules the import adds count
+    # every command starts a fresh interpreter; -S keeps site from loading
+    # modules first, and only the modules the import adds count
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import welltempered.cli; print(*sorted(set(sys.modules) - before))")
     src = str(Path(cli.__file__).resolve().parents[1])
-    added = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+    added = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
                            text=True, check=True).stdout.split()
     assert "welltempered.cli" in added
-    assert not {"dataclasses", "inspect"} & set(added), added
+    assert not {"dataclasses", "inspect", "typing"} & set(added), added

@@ -333,6 +333,18 @@ def test_certified_log2_enclosures():
     assert certified_log2(1, 50) == (Fraction(0), Fraction(0))
 
 
+def test_certified_log2_stops_early_when_a_bit_straddles():
+    # at 16 bits the squared interval of 14917 straddles 2 at the last bit,
+    # so the enclosure stops one bit short: wider, and still correct
+    lo, hi = certified_log2(14917, 16)
+    assert hi - lo == Fraction(1, 1 << 15)
+    fine_lo, fine_hi = certified_log2(14917, 256)
+    assert lo <= fine_lo <= fine_hi <= hi
+    # 2^lo <= 14917 < 2^hi, with the rational exponents cleared
+    assert 2 ** lo.numerator <= 14917 ** lo.denominator
+    assert not 2 ** hi.numerator <= 14917 ** hi.denominator
+
+
 def test_certified_sign_cross_family_examples():
     # 34 * (fifth golden element) vs 34 * log2(5) + 2
     g = GoldenNumber(102, -34)

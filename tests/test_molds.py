@@ -350,9 +350,11 @@ def test_metric_property():
 def test_even_filterable_mold_checks():
     assert check_even_filterable_mold(metric_mold(), 200).holds
     report = check_even_filterable_mold(golden_fractal_mold(), 20)
-    assert tuple(report)[1:] == ("fails", 20, (2, 4), "mu_2 + mu_4 = mu_15 has odd index 15")
+    assert (report.verdict, report.prefix_bound, report.witness, report.detail) == (
+        "fails", 20, (2, 4), "mu_2 + mu_4 = mu_15 has odd index 15")
     report = check_even_filterable_mold(mold_q(), 16)
-    assert tuple(report)[1:] == ("fails", 16, (2, 2), "mu_2 + mu_2 = mu_9 has odd index 9")
+    assert (report.verdict, report.prefix_bound, report.witness, report.detail) == (
+        "fails", 16, (2, 2), "mu_2 + mu_2 = mu_9 has odd index 9")
     # the 7/12 cut is not closed: an even pair sums outside the mold
     report = check_even_filterable_mold(FractalMold(PeriodSpec([1, 1 + Fraction(7, 12)])), 16)
     assert (report.verdict, report.witness) == ("fails", (2, 2))
