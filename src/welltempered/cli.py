@@ -7,8 +7,8 @@ or to `--out`, so the three formats cannot drift apart between commands.
 
 Every number on stdout goes through the exact round-half-even renderer and
 all orderings are fixed, so re-running a command is byte-identical.  Exit
-codes: 0 success or PASS, 1 check FAIL, 2 usage error or a comparison
-past the precision budget.
+codes: 0 success or PASS, 1 check FAIL, 2 usage error, a comparison past
+the precision budget, or an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -127,31 +127,24 @@ def _semigroup_text(s) -> str:
 
 
 def _report_text(report) -> str:
-    if report.detail:
-        return f"{report.verdict} ({report.detail})"
-    return report.verdict
+    return f"{report.verdict} ({report.detail})"
 
 
-def _pick_mold(args, parser):
+def _pick_mold(args, parser) -> tuple:
+    """(mold, label) for --mold and --granularity; the label names the mold in output."""
     if args.mold == "perfect":
         if args.granularity is None:
             parser.error("--granularity is required with --mold perfect")
-        return perfect_fractal_mold(args.granularity)
+        return perfect_fractal_mold(args.granularity), f"perfect-{args.granularity}"
     if args.granularity is not None:
         parser.error("--granularity only applies to --mold perfect")
     return {"L": metric_mold, "F": golden_fractal_mold,
-            "Q": mold_q, "D": mold_d}[args.mold]()
-
-
-def _mold_label(args) -> str:
-    if args.mold == "perfect":
-        return f"perfect-{args.granularity}"
-    return args.mold
+            "Q": mold_q, "D": mold_d}[args.mold](), args.mold
 
 
 def _cmd_mold_show(args, parser) -> Result:
-    mold = _pick_mold(args, parser)
-    return _listing("mu_i", {"mold": _mold_label(args), "count": args.count},
+    mold, label = _pick_mold(args, parser)
+    return _listing("mu_i", {"mold": label, "count": args.count},
                     "elements",
                     [_render(mold.element(i), args) for i in range(args.count)])
 
@@ -201,7 +194,7 @@ def _parse_rational(text: str, name: str, parser) -> Fraction:
 
 
 def _cmd_discretize(args, parser) -> Result:
-    mold = _pick_mold(args, parser)
+    mold, label = _pick_mold(args, parser)
     alpha = _parse_rational(args.alpha, "alpha", parser)
     if not 0 <= alpha <= 1:
         parser.error("alpha must lie in [0, 1]")
@@ -211,7 +204,6 @@ def _cmd_discretize(args, parser) -> Result:
     record = collapse(d)
     even = even_filterable_semigroup(d)
     _, genus, multiplicity = genus_multiplicity(s)
-    label = _mold_label(args)
     return Result(
         text=[
             f"semigroup: {_semigroup_text(s)}",
@@ -455,8 +447,13 @@ def main(argv=None) -> int:
     else:
         output = "\n".join(result.text) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"{parser.prog}: error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return result.code

@@ -235,9 +235,10 @@ class AlphaInterval(_Record):
     """A maximal-by-construction run (lower, upper] of equal image sets.
 
     The image set is constant for alpha in (lower, upper]; key is that set
-    as (prefix, conductor).  A sweep's interval holds only its position in
-    the sweep's move log, and its key is replayed from the log on first
-    read (given a log, key is that position).  representative, the full
+    as (prefix, conductor).  An interval holds only its position in its
+    sweep's move log, and its key is replayed from the log on first read.
+    through(last) spans from this interval's lower end to last's upper end,
+    with last's position, log and certificate.  representative, the full
     discretization at alpha = upper with its index map, is built on first
     access from certificate, the one record of the sweep's (mold, m) that
     its intervals and their representatives share.  The distinguished
@@ -247,25 +248,24 @@ class AlphaInterval(_Record):
     keys and certificates agree.
     """
 
-    # _fields names the stored attributes, for the properties; __init__ below takes key and log
-    _fields = ("lower", "upper", "_key", "certificate", "_log")
-    _compared = ("lower", "upper", "key", "certificate")
+    _fields = ("lower", "upper", "key", "certificate")
     _shown = ("lower", "upper", "key")
 
     # set directly, not bound by _Record's constructor: a sweep builds one per breakpoint
-    def __init__(self, lower: ExactValue, upper: ExactValue, key,
-                 certificate: TruncationCertificate, log: _MoveLog | None = None):
+    def __init__(self, lower: ExactValue, upper: ExactValue, at: int,
+                 certificate: TruncationCertificate, log: _MoveLog):
         self._lower = lower
         self._upper = upper
-        self._key = key
+        self._at = at
         self._certificate = certificate
         self._log = log
 
     @property
     def key(self) -> tuple:
-        if self._log is None:
-            return self._key
-        return self._log.key(self._key)
+        return self._log.key(self._at)
+
+    def through(self, last: AlphaInterval) -> AlphaInterval:
+        return AlphaInterval(self.lower, last.upper, last._at, last.certificate, last._log)
 
     @cached_property
     def representative(self) -> Discretization:

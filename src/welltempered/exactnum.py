@@ -16,9 +16,10 @@ a golden or log value and (r, r) for a rational, and it doubles bits from
 64 until a decision rule settles, up to ``PREC_BUDGET_BITS`` (4096), past
 which it raises ``PrecisionBudgetExceeded`` (a ValueError) with the values,
 the bits reached and the last pairs.  ``certified_sign`` orders any two
-exact values.  The comparison operators agree with it within a family and
-against a rational, but a golden number and a log have no operator order:
-``<`` between them raises TypeError in either order.
+exact values, and both order operators, ``GoldenNumber.__lt__`` and
+``LogValue.__lt__``, call it for a value of their own family or a rational.
+A golden number and a log have no operator order: ``<`` between them
+raises TypeError in either order.
 
 ``_split``, the discretizations' split kernel, floors a value once and
 returns (floor, fractional part, sort key).  A golden or log part's key is
@@ -219,16 +220,16 @@ class GoldenNumber:
         return result
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b
+        if isinstance(other, GoldenNumber):
+            return self._a == other._a and self._b == other._b
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            return self._b == 0 and self._a == other
+        return NotImplemented
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return certified_sign(self, o) < 0
+        if isinstance(other, (GoldenNumber, int, Fraction)) and not isinstance(other, bool):
+            return certified_sign(self, other) < 0
+        return NotImplemented
 
     def __hash__(self):
         if self._b == 0:
@@ -357,9 +358,9 @@ class LogValue:
             raise TypeError("LogValue parts must be integers")
         if mult < 1 or arg < 1:
             raise ValueError("need mult >= 1 and arg >= 1")
-        while arg % 2 == 0:
-            arg //= 2
-            offset += mult
+        twos = (arg & -arg).bit_length() - 1
+        arg >>= twos
+        offset += mult * twos
         if arg.bit_length() > _MAX_ARG_BITS:
             raise ValueError("log argument too large to represent exactly")
         if arg > 1:

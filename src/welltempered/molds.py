@@ -43,7 +43,8 @@ class _Record:
 
     _fields lists the constructor's arguments, and _defaults the values of
     the trailing ones.  A public field is stored as _name behind a read-only
-    property; a field named _name is stored as is.  Like a function, the
+    property, unless the class defines its own accessor of that name; a
+    field named _name is stored as is.  Like a function, the
     constructor raises TypeError on an unknown, missing, repeated or extra
     argument.  Two records of one class are equal, and hash alike, when the
     fields in _compared (all, by default) agree; repr shows those in _shown
@@ -58,7 +59,7 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._stored = tuple(name if name.startswith("_") else "_" + name for name in cls._fields)
         for name, stored in zip(cls._fields, cls._stored):
-            if name != stored:
+            if name != stored and name not in vars(cls):
                 setattr(cls, name, property(attrgetter(stored)))
         cls._compared = vars(cls).get("_compared", cls._fields)
         cls._shown = vars(cls).get("_shown", cls._compared)
@@ -409,10 +410,6 @@ def golden_fractal_mold() -> FractalMold:
 def perfect_fractal_mold(granularity: int) -> GridMold:
     return GridMold(granularity, granularity, f"perfect[{granularity}]",
                     f"perfect-fractal({granularity})")
-
-
-def fractal_mold(period: PeriodSpec, name: str = "") -> FractalMold:
-    return FractalMold(period, name)
 
 
 def golden_period_spec() -> PeriodSpec:

@@ -25,7 +25,6 @@ from .exactnum import (
     certified_sign,
     exact_floor,
     exact_frac,
-    exact_is_integer,
     rational_between,
     scale,
 )
@@ -139,15 +138,15 @@ def _merged_regions(mold: Mold, m: int) -> list[AlphaInterval]:
     """Alpha sweep with each run of adjacent equal-key intervals fused by groupby.
 
     The pure ceiling point, first in the sweep, stays a region of its own.
-    Only keys are compared, so no index map is built.  A region spans its
-    run's first lower to last upper endpoint, with the last certificate, so
-    its representative describes the image at the region's upper endpoint.
+    Only keys are compared, so no index map is built.  A region is its
+    run's first interval through its last, so its representative describes
+    the image at the region's upper endpoint.
     """
     ceiling, *rest = alpha_sweep(mold, m)
     regions = [ceiling]
-    for key, group in groupby(rest, key=attrgetter("key")):
+    for _, group in groupby(rest, key=attrgetter("key")):
         run = list(group)
-        regions.append(AlphaInterval(run[0].lower, run[-1].upper, key, run[-1].certificate))
+        regions.append(run[0].through(run[-1]))
     return regions
 
 
@@ -273,12 +272,9 @@ def tail_certificate(m: int) -> TailCertificate:
     if not isinstance(m, int) or isinstance(m, bool) or m < TAIL_START:
         raise ValueError(f"the analytic tail starts at multiplicity {TAIL_START}")
     lmold, fmold = _SEARCH_MOLDS
-    third_l = scale(lmold.element(3), m)
-    third_f = scale(fmold.element(3), m)
-    if not (exact_is_integer(third_l) and exact_floor(third_l) == 2 * m):
-        raise RuntimeError("metric mold lost its exact element at index 3")
-    if not (exact_is_integer(third_f) and exact_floor(third_f) == 2 * m):
-        raise RuntimeError("golden mold lost its exact element at index 3")
+    for family, mold in (("metric", lmold), ("golden", fmold)):
+        if scale(mold.element(3), m) != 2 * m:
+            raise RuntimeError(f"{family} mold lost its exact element at index 3")
     try:
         if certified_sign(scale(fmold.element(4), m), scale(lmold.element(4), m) + 2) <= 0:
             raise RuntimeError(f"index-4 separation not certified at multiplicity {m}")

@@ -280,6 +280,17 @@ def test_out_writes_identical_bytes(tmp_path, capsys, fmt):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is theorem's FAIL, so a file that cannot be written exits 2, with no traceback
+    for argv, target, reason in (
+            (["theorem", "--which", "4"], tmp_path / "missing" / "x", "No such file or directory"),
+            (["mold", "show", "--mold", "F"], tmp_path, "Is a directory")):
+        code, out, err = run(capsys, argv + ["--out", str(target)])
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"welltempered: error: cannot write {target}: {reason}\n"
+
+
 def test_reruns_are_byte_identical(capsys):
     for argv in (["search", "--m", "13", "--format", "json"],
                  ["table", "--m", "9", "--count", "20", "--format", "csv"],

@@ -113,6 +113,18 @@ def test_golden_against_fraction_takes_the_integer_path(monkeypatch):
     monkeypatch.setattr(exactnum, "_cleared", no_clearing)
     assert [certified_sign(x, y) for x, y in grid] == expected
     assert [certified_sign(y, x) for x, y in grid] == [-e for e in expected]
+    # the operators take the same path, and build no Fraction-coefficient number
+    as_coeff = exactnum._as_coeff
+
+    def integer_coeff(c):
+        c = as_coeff(c)
+        if type(c) is not int:
+            raise AssertionError(f"a Q[tau] number was built from {c!r}")
+        return c
+    monkeypatch.setattr(exactnum, "_as_coeff", integer_coeff)
+    assert [x < y for x, y in grid] == [e < 0 for e in expected]
+    assert [x > y for x, y in grid] == [e > 0 for e in expected]
+    assert [x == y for x, y in grid] == [e == 0 for e in expected]
 
 
 def test_golden_floor_basics():
@@ -208,6 +220,16 @@ def test_log_value_against_fine_rational_is_fast():
 def test_log_value_huge_perfect_power_canonicalizes():
     assert LogValue(1, 3 ** 700) == LogValue(700, 3)
     assert hash(LogValue(1, 3 ** 700)) == hash(LogValue(700, 3))
+
+
+def test_log_value_strips_a_huge_power_of_two_at_once():
+    # one bit per loop pass took seconds at this size
+    start = time.perf_counter()
+    one = LogValue(1, 2 ** 100_000)
+    three = LogValue(3, 3 * 2 ** 100_000)
+    assert time.perf_counter() - start < 0.5
+    assert (one.mult, one.arg, one.offset) == (1, 1, 100_000)
+    assert (three.mult, three.arg, three.offset) == (3, 3, 300_000)
 
 
 def test_integer_root_brackets_the_root():

@@ -19,7 +19,6 @@ from welltempered.molds import (
     check_metric,
     check_mold_axioms,
     f_ell,
-    fractal_mold,
     generic_fractal_mold,
     golden_fractal_mold,
     golden_period_spec,
@@ -393,6 +392,10 @@ def test_spacing_indices():
         while not m * TAU ** ell < 1:
             ell += 1
         assert F.spacing_index(m)[0] == (1 << ell) - 1, m
+    # the float estimate at rho = 1/2 overshoots to 52 here; the exact exponent is 51
+    m = 2 ** 51 - 1
+    halving = FractalMold(PeriodSpec([1, Fraction(3, 2)]))
+    assert halving.spacing_index(m)[0] == 2 ** 51 - 1 == perfect_fractal_mold(2).spacing_index(m)[0]
 
 
 @pytest.mark.parametrize("m", [2.5, True, 0])
@@ -450,7 +453,7 @@ def test_fractal_mold_builder_names():
     assert golden_fractal_mold().kind == "golden-fractal"
     assert mold_q().kind == "explicit(list rule)"
     assert perfect_fractal_mold(3).kind == "perfect-fractal(3)"
-    named = fractal_mold(PeriodSpec([1, Fraction(4, 3)]), name="thirds")
+    named = FractalMold(PeriodSpec([1, Fraction(4, 3)]), name="thirds")
     assert named.name == "thirds"
     assert named.kind == "generic-fractal(granularity 2)"
 

@@ -14,7 +14,7 @@ from welltempered.discretize import (
 )
 from welltempered.molds import PropertyReport, golden_fractal_mold, golden_period_spec, metric_mold
 from welltempered.semigroups import CollapseRecord, NumericalSemigroup, collapse, verify_semigroup
-from welltempered.theorems import WELL_TEMPERED_H, TailCertificate
+from welltempered.theorems import WELL_TEMPERED_H, TailCertificate, _merged_regions
 
 L = metric_mold()
 F = golden_fractal_mold()
@@ -94,3 +94,13 @@ def test_hashing_a_discretization_does_not_walk_to_the_horizon():
     assert "values" not in vars(d) and "horizon" not in vars(d.certificate)
     assert d == discretize(F, 12, Fraction(1))
     assert "values" in vars(d)
+
+
+def test_sweep_interval_fields_are_its_values():
+    # an interval holds a move-log position, but _asdict gives the key it stands for
+    interval = alpha_sweep(L, 12)[3]
+    fields = interval._asdict()
+    assert list(fields) == ["lower", "upper", "key", "certificate"]
+    assert type(fields["key"]) is tuple and fields["key"] == interval.key
+    for region in _merged_regions(F, 12):
+        assert region._asdict()["key"] == region.key

@@ -85,7 +85,7 @@ def test_equal_alpha_intervals_hash_equal():
     assert first == second
     assert [hash(iv) for iv in first] == [hash(iv) for iv in second]
     assert len(set(first) | set(second)) == len(first)
-    moved = AlphaInterval(first[1].lower, first[2].upper, first[2].key, first[2].certificate)
+    moved = first[1].through(first[2])
     assert moved != first[2] and moved != first[1]
 
 
