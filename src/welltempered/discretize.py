@@ -289,12 +289,15 @@ def _crossings(hits: dict, groups: dict, moves: list):
     Crossing a part moves the indices of its groups from ceiling to floor,
     which updates the counts; each member that leaves is appended to moves
     as ~v, each that enters as v.  Yields (part, len(moves)) after each
-    crossing.  The groups are sorted once on their keys, _split's sort keys,
-    which order them exactly: integers first, the parts themselves only
-    where the integers tie.  Unless every part has a key and all are of one
-    family, they are sorted by value.
+    crossing.  groups is emptied once its entries are listed, so the
+    caller's id-keyed dict is not kept through the crossings.  The entries
+    are sorted once on their keys, _split's sort keys, which order them
+    exactly: integers first, the parts themselves only where the integers
+    tie.  Unless every part has a key and all are of one family, they are
+    sorted by value.
     """
     entries = list(groups.values())
+    groups.clear()
     by_value = (None in map(itemgetter(0), entries)
                 or len({type(entry[1]) for entry in entries}) > 1)
     order = itemgetter(1 if by_value else 0)

@@ -25,8 +25,13 @@ raises TypeError in either order.
 returns (floor, fractional part, sort key).  A golden or log part's key is
 (integer, part), the integer monotone in the part and a by-product of the
 floor, so sweeps order their breakpoints mostly by integer comparisons.
-``_scaled_splits`` splits the m-multiples of a sequence, once per distinct
-fractional part; values with one part share its part and key objects.
+``_split_golden`` splits a + b*tau from its integer coefficients, for
+``_split`` and ``_scaled_splits`` alike.  Every Z[tau] floor, split or
+not, comes from ``_floor_int_tau``, which brackets |b|*sqrt(5) with a
+fixed-point sqrt(5) built once at import and settles the bracket by one
+integer test, taking no square root below 2^256.  ``_scaled_splits``
+splits the m-multiples of a sequence, once per distinct fractional part;
+values with one part share its part and key objects.
 
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
@@ -72,12 +77,18 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def _primitive_power(n: int) -> tuple[int, int]:
-    """Write n >= 2 as r**k with k maximal; the base r is then not a perfect power."""
-    k = 1
-    for p in range(2, n.bit_length()):  # n is an e-th power just for e dividing k, so
+    """Write an odd n >= 3 as r**k with k maximal; the base r is then not a perfect power.
+
+    n must be odd, as LogValue passes it: every root is then odd and at
+    least 3, so an exponent p with 3**p > n (for n as reduced so far) has
+    no root, and the exponents stop there.
+    """
+    k, p, low = 1, 2, 9  # low = 3**p
+    while low <= n:  # n is an e-th power just for e dividing k, so
         if pow(2, p, p) == 2 % p:  # try each prime (this passes all; a composite finds none)
-            while (r := _integer_root(n, p)) ** p == n:
+            while (r := math.isqrt(n) if p == 2 else _integer_root(n, p)) ** p == n:
                 n, k = r, k * p
+        p, low = p + 1, low * 3
     return n, k
 
 
@@ -114,11 +125,28 @@ def _sign_a_b_tau(a: Rational, b: Rational) -> int:
     return _sign_u_v_sqrt5(2 * a - b, b)
 
 
+# sqrt(5) in fixed point: _SQRT5 = floor(sqrt(5) * 2^_SQRT5_BITS), built once
+_SQRT5_BITS = 256
+_SQRT5 = math.isqrt(5 << (2 * _SQRT5_BITS))
+
+
 def _floor_int_tau(a: int, b: int) -> int:
-    """floor(a + b*tau) for integers a, b, by integer square root."""
+    """floor(a + b*tau) for integers a, b, from s = floor(|b|*sqrt(5)).
+
+    For 0 < |b| < 2^E, E = _SQRT5_BITS, q = (|b| * _SQRT5) >> E satisfies
+    q <= |b|*sqrt(5) < q + 2, as |b| * (sqrt(5) - _SQRT5 / 2^E) < 1; s is
+    then q + 1 exactly when (q + 1)^2 <= 5*b^2, and q otherwise.  Only a
+    larger |b| takes math.isqrt(5*b^2).
+    """
     if b == 0:
         return a
-    s = math.isqrt(5 * b * b)
+    n = b if b > 0 else -b
+    if n >> _SQRT5_BITS:
+        s = math.isqrt(5 * n * n)
+    else:
+        s = (n * _SQRT5) >> _SQRT5_BITS
+        if (s + 1) * (s + 1) <= 5 * n * n:
+            s += 1
     if b > 0:
         # max k with 2k + b <= b*sqrt(5); equality is impossible
         return a + (s - b) // 2
@@ -572,22 +600,15 @@ def _split(x: ExactValue) -> tuple:
     """(floor, fractional part, sort key) of x, flooring x once.
 
     The part and the key are None at an integer, and the key is None for a
-    part without one.  A golden a + b*tau with int coefficients is floored
-    by one integer square root, t = floor(2^K * b*tau) with K = _KEY_BITS:
-    the floor is a + (t >> K), and t's low K bits are floor(2^K * part).  A
-    log m*log2(n) + c whose power p = n**m _power builds is floored as
-    bit_length(p) - 1 + c, and p's leading K + 1 bits are floor(2^(K + part)).
-    The key is (that integer, part): the integer is monotone in the part,
-    and equal integers fall back to the exact parts.
+    part without one.  A golden a + b*tau with int coefficients goes to
+    _split_golden.  A log m*log2(n) + c whose power p = n**m _power builds
+    is floored as bit_length(p) - 1 + c, and p's leading K + 1 bits, K =
+    _KEY_BITS, are floor(2^(K + part)).  The key is (that integer, part):
+    the integer is monotone in the part, and equal integers fall back to the
+    exact parts.
     """
     if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
-        a, b = x._a, x._b
-        if b == 0:
-            return a, None, None
-        t = _floor_int_tau(0, b << _KEY_BITS)
-        floor = a + (t >> _KEY_BITS)
-        frac = _golden(a - floor, b)
-        return floor, frac, (t & ((1 << _KEY_BITS) - 1), frac)
+        return _split_golden(x._a, x._b)
     if type(x) is LogValue and x._n != 1 and (power := x._power()) is not None:
         bits = power.bit_length()
         floor = bits - 1 + x._c
@@ -598,6 +619,20 @@ def _split(x: ExactValue) -> tuple:
     if exact_is_integer(x):
         return floor, None, None
     return floor, x - floor, None
+
+
+def _split_golden(a: int, b: int) -> tuple:
+    """_split(a + b*tau) for integers a, b, by one _floor_int_tau.
+
+    t = floor(2^K * b*tau), K = _KEY_BITS, gives the floor a + (t >> K),
+    and t's low K bits are floor(2^K * part).
+    """
+    if b == 0:
+        return a, None, None
+    t = _floor_int_tau(0, b << _KEY_BITS)
+    floor = a + (t >> _KEY_BITS)
+    frac = _golden(a - floor, b)
+    return floor, frac, (t & ((1 << _KEY_BITS) - 1), frac)
 
 
 def _scaled_splits(m: int):
@@ -620,8 +655,8 @@ def _scaled_splits(m: int):
             return _split(scale(x, m))
         kept = memo.get(component)
         if kept is None:
-            kept = memo[component] = _split(_golden(0, component) if type(component) is int
-                                            else _log(*component, 0))
+            kept = memo[component] = (_split_golden(0, component) if type(component) is int
+                                      else _split(_log(*component, 0)))
         s, frac, key = kept
         return offset + s, frac, key
 

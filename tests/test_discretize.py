@@ -595,8 +595,8 @@ def test_keyless_or_mixed_parts_sort_by_value():
 def test_sweeps_build_few_checked_numbers(monkeypatch):
     # counts, not times: arithmetic on the sweep path takes the raw
     # constructors, each metric element is canonicalized once, and each
-    # distinct breakpoint is floored and keyed by one integer square root
-    # or one power, so the sort makes next to no exact comparison
+    # distinct breakpoint is floored and keyed by one _floor_int_tau or one
+    # power, so the sort makes next to no exact comparison
     exactnum = importlib.import_module("welltempered.exactnum")
     calls = Counter()
     for name in ("_as_coeff", "_primitive_power", "_floor_int_tau", "certified_sign"):
@@ -621,7 +621,7 @@ def test_sweeps_build_few_checked_numbers(monkeypatch):
     distinct = len(set(_prefix_tables(golden_fractal_mold(), 200)[0].fracs) - {None})
     calls.clear()
     alpha_sweep(golden, 200)
-    assert 0 < calls["_floor_int_tau"] <= distinct + 2  # one root per distinct part
+    assert 0 < calls["_floor_int_tau"] <= distinct + 2  # one floor per distinct part
     horizon = truncation_certificate(L, 400).horizon
     calls.clear()
     powers.clear()
@@ -633,6 +633,16 @@ def test_sweeps_build_few_checked_numbers(monkeypatch):
     parts = {(f.mult, f.arg) for f in fracs if f is not None}
     assert parts <= set(powers) and len(set(powers) - parts) <= 1
     assert sum(powers.values()) <= len(powers) + 2 and len(parts) < len(fracs) / 1.9
+
+
+def test_golden_sweeps_take_no_integer_square_root(monkeypatch):
+    # a fixed-point sqrt(5) floors every golden part of these sizes
+    roots = Counter()
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.update(["isqrt"]) or isqrt(n))
+    alpha_sweep(golden_fractal_mold(), 200)
+    discretize(golden_fractal_mold(), 2000, Fraction(1, 3))
+    assert roots["isqrt"] == 0
 
 
 @pytest.mark.parametrize("mold, m", [(F, 100), (F, 200), (L, 400), (L, 60)],

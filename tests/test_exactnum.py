@@ -17,8 +17,10 @@ from welltempered.exactnum import (
     PREC_BUDGET_BITS,
     TAU,
     _EXACT_POWER_BITS,
+    _floor_int_tau,
     _golden,
     _integer_root,
+    _primitive_power,
     _split,
     GoldenNumber,
     LogValue,
@@ -242,6 +244,51 @@ def test_integer_root_brackets_the_root():
             assert r ** k <= n < (r + 1) ** k, (n, k)
 
 
+def test_primitive_power_finds_the_largest_exponent():
+    def largest(n):  # r**k == n for the largest k, trying every exponent
+        return next((r, k) for k in range(n.bit_length(), 0, -1)
+                    if (r := _integer_root(n, k)) ** k == n)
+
+    powers = [3 ** 700, 15 ** 64, 105 ** 210, (3 ** 5 * 7) ** 64, 1001 ** 97, 3 ** 2581,
+              (3 ** 40 + 2) ** 3, 9 ** 2 * 25 ** 2]
+    for n in [*range(3, 10 ** 4, 2), *powers, *(p + 2 for p in powers)]:
+        assert _primitive_power(n) == largest(n), n
+
+
+def _floor_sqrt5_tau(a, b):
+    """floor(a + b*tau) from math.isqrt(5*b*b), the floor's defining formula."""
+    if b == 0:
+        return a
+    s = math.isqrt(5 * b * b)
+    return a + (s - b) // 2 if b > 0 else a - ((s + b) // 2 + 1)
+
+
+def test_floor_int_tau_matches_the_integer_square_root_on_every_branch():
+    # the fixed-point bracket floors |b|*sqrt(5) as q or, after its one
+    # integer test, q + 1; only |b| >= 2^E takes math.isqrt
+    E, root5 = exactnum._SQRT5_BITS, exactnum._SQRT5
+    rng = random.Random(24)
+    samples = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 401) for _ in range(3)]
+    fib = [0, 1]
+    while len(fib) <= 400:
+        fib.append(fib[-1] + fib[-2])
+    # F_n * sqrt(5) is within 2/L_n of the Lucas number L_n
+    samples += [m * f for f in fib[1:] for m in (1, 2, 3, 12, 200)]
+    samples += [1 << E, (1 << E) - 1, (1 << E) + 1, rng.getrandbits(3 * E), fib[400] << E]
+    branches = Counter()
+    for b in samples:
+        if b >> E:
+            branches["isqrt"] += 1
+        else:
+            q = (b * root5) >> E
+            branches["q + 1" if math.isqrt(5 * b * b) > q else "q"] += 1
+        for sb in (b, -b):
+            a = rng.randint(-10 ** 6, 10 ** 6)
+            assert _floor_int_tau(a, sb) == _floor_sqrt5_tau(a, sb), sb
+    assert branches["q"] and branches["q + 1"] and branches["isqrt"], branches
+    assert _floor_int_tau(5, 0) == 5
+
+
 def test_floor_alpha_threshold_semantics():
     x = GoldenNumber(12, 12)  # about 19.4164
     assert floor_alpha(x, 1) == 19
@@ -290,7 +337,7 @@ def test_split_floors_once_and_keys_by_integers(monkeypatch):
         roots.clear()
         floor, frac, key = _split(x)
         is_golden = type(x) is GoldenNumber
-        assert roots["isqrt"] == is_golden  # one integer square root, or none
+        assert roots["isqrt"] == is_golden  # one _floor_int_tau, or none
         assert (floor, frac) == (exact_floor(x), exact_frac(x)) and key[1] is frac
         if is_golden:  # floor(2^64 * frac)
             assert key[0] == exact_floor(frac * 2 ** 64)
@@ -330,7 +377,7 @@ def test_scaled_splits_split_each_distinct_part_once(monkeypatch):
                 assert parts.setdefault(frac, (frac, key)) == (frac, key)
                 assert parts[frac][0] is frac and parts[frac][1] is key
         golden_parts = {m * x.b for x in values[:300] if x.b}
-        assert roots["isqrt"] == len(golden_parts) + 1  # and the Fraction-coefficient one
+        assert roots["isqrt"] == len(golden_parts) + 1  # one floor each, and the Q[tau] one
 
 
 def test_floor_alpha_rejects_bad_alpha():
