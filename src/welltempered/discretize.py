@@ -21,18 +21,19 @@ that log when it is first read.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, groupby, islice, takewhile
-from operator import invert, itemgetter
+from itertools import count, islice, repeat
+from operator import add, invert, is_not, itemgetter
 
 from .exactnum import (
     ExactValue,
     Rational,
     _check_alpha,
+    _part,
     _round,
-    _scaled_splits,
-    _split,
+    _scaled_component,
     certified_sign,
     exact_floor,
     scale,
@@ -106,9 +107,10 @@ class Discretization(_Record):
     (mold, m), holds the split prefix that fixes it.  values[i] =
     round(m * mu_i) for 0 <= i <= horizon; the horizon is computed on first
     read (of horizon, values or ==), and the rest of values is then rounded
-    from the mold.  iter_values() goes on past the prefix without a horizon
-    and without storing anything.  The index map is kept because collapse
-    detection needs to know which mold indices landed on the same integer.
+    from the mold.  iter_values() goes on past the prefix without a horizon,
+    splitting and rounding each distinct component once.  The index map is
+    kept because collapse detection needs to know which mold indices landed
+    on the same integer.
     Two discretizations are equal when their certificates, conductors,
     prefixes and index maps agree; the hash leaves the index map out, so
     hashing never walks to the horizon.
@@ -127,9 +129,12 @@ class Discretization(_Record):
         yield from self._head
         cert = self.certificate
         mold, m = cert.mold, cert.multiplicity
+        rounded = {}  # component -> its floor, rounded at alpha
         for i in count(cert.prefix_end + 1):
-            floor, frac, _ = _split(scale(mold.element(i), m))
-            yield _round(floor, frac, self._alpha)
+            offset, component = _scaled_component(mold.element(i), m)
+            if component not in rounded:
+                rounded[component] = _round(*_part(component)[:2], self._alpha)
+            yield offset + rounded[component]
 
     @cached_property
     def values(self) -> tuple:
@@ -146,49 +151,53 @@ def _check_step(mold: Mold, i: int, current, following) -> None:
             f"mold {mold.name!r}: scaled step at index {i} is not below 1")
 
 
-def _grouped(splits) -> tuple:
-    """(floors, fracs, hits, groups) of (floor, frac, key) splits, in one pass.
+class _PartTable:
+    """The split prefix of m * mold, with one entry per distinct component.
 
-    hits counts the splits that round to each integer at pure ceiling.
-    groups holds one list [key, frac, floor, floor, ...] per part object,
-    with the floors of the splits that share it, as _scaled_splits shares
-    equal parts.
+    floors[i] and fracs[i] split m * mu_i.  parts maps each component of
+    _scaled_component to [floor, part, key, floors...]: _part's split of
+    the component, made on the first miss, then the floors of the indices
+    that share it.  A golden or log part has one component; a value split
+    whole is its own.  extend() splits further elements, each past the
+    first of its component by one lookup and one addition.
     """
-    floors, fracs, hits, groups = [], [], {}, {}
-    for floor, frac, key in splits:
-        floors.append(floor)
-        fracs.append(frac)
-        if frac is None:
-            hits[floor] = hits.get(floor, 0) + 1
-            continue
-        hits[floor + 1] = hits.get(floor + 1, 0) + 1
-        group = groups.get(id(frac))
-        if group is None:
-            group = groups[id(frac)] = [key, frac]
-        group.append(floor)
-    return floors, fracs, hits, groups
+
+    def __init__(self, m: int):
+        self.m, self.parts, self.floors, self.fracs = m, {}, [], []
+
+    def extend(self, elements) -> None:
+        m, parts, entry_of = self.m, self.parts, self.parts.get
+        add_floor, add_frac = self.floors.append, self.fracs.append
+        for x in elements:
+            offset, component = _scaled_component(x, m)
+            entry = entry_of(component)
+            if entry is None:
+                entry = parts[component] = _part(component)
+            floor = offset + entry[0]
+            add_floor(floor)
+            add_frac(entry[1])
+            entry.append(floor)
 
 
 def _prefix_tables(mold: Mold, m: int) -> tuple:
-    """(certificate, hits, groups): m * mu_i split for i <= prefix_end, and grouped.
+    """(certificate, table): m * mu_i split for i <= prefix_end, as one _PartTable.
 
-    Each distinct fractional part is split once (_scaled_splits), and the
-    indices that share it share one part object and one key.  The step at
-    prefix_end is checked first.  That one exact check, the
+    The step at prefix_end is checked first.  That one exact check, the
     walk's first step with the walk's error, reads element prefix_end + 1
     and no further.  A bad step further on is caught when the walk to the
-    horizon runs.  Only sweeps read hits and groups (see _grouped), so the
-    certificate does not keep them.
+    horizon runs.  Only sweeps read the table's parts, so the certificate
+    keeps just its floors and fracs.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
     _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
                 scale(mold.element(prefix_end + 1), m))
-    floors, fracs, hits, groups = _grouped(map(_scaled_splits(m),
-                                               mold.elements(prefix_end + 1)))
+    table = _PartTable(m)
+    table.extend(mold.elements(prefix_end + 1))
+    floors, fracs = table.floors, table.fracs
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
-                                 mold, tuple(floors), tuple(fracs)), hits, groups
+                                 mold, tuple(floors), tuple(fracs)), table
 
 
 def truncation_certificate(mold: Mold, m: int) -> TruncationCertificate:
@@ -281,39 +290,47 @@ class AlphaInterval(_Record):
         return certified_sign(self.lower, alpha) < 0 <= certified_sign(self.upper, alpha)
 
 
-def _crossings(hits: dict, groups: dict, moves: list):
-    """Cross each distinct nonzero fractional part in increasing order, logging moves.
+def _crossings(table: _PartTable) -> tuple:
+    """(log, crossed, ends): cross each distinct nonzero part of table in increasing order.
 
-    hits (integer -> indices rounding to it) and groups are _grouped's, at
-    pure ceiling; the members are the integers with a nonzero count.
-    Crossing a part moves the indices of its groups from ceiling to floor,
-    which updates the counts; each member that leaves is appended to moves
-    as ~v, each that enters as v.  Yields (part, len(moves)) after each
-    crossing.  groups is emptied once its entries are listed, so the
-    caller's id-keyed dict is not kept through the crossings.  The entries
-    are sorted once on their keys, _split's sort keys, which order them
-    exactly: integers first, the parts themselves only where the integers
-    tie.  Unless every part has a key and all are of one family, they are
-    sorted by value.
+    hits counts the indices that round to each integer, from pure ceiling,
+    whose members start the _MoveLog.  Crossing a part moves the indices of
+    its entry from ceiling to floor, which updates the counts; each member
+    that leaves is logged as ~v, each that enters as v.  crossed lists the
+    parts in order, and ends the log's length after each.  The entries are
+    sorted once on _split's sort keys, which order them exactly: integers
+    first, the parts themselves only where the integers tie.  Unless every
+    part has a key and all are of one family, they are sorted by value.
+    Equal parts, such as two rationals an integer apart, cross together.
     """
-    entries = list(groups.values())
-    groups.clear()
-    by_value = (None in map(itemgetter(0), entries)
+    # each index's ceiling, counted in C; a plain dict updates faster than a Counter
+    hits = dict(Counter(map(add, table.floors, map(is_not, table.fracs, repeat(None)))))
+    log = _MoveLog(sorted(hits))
+    entries = [entry for entry in table.parts.values() if entry[1] is not None]
+    by_value = (None in map(itemgetter(2), entries)
                 or len({type(entry[1]) for entry in entries}) > 1)
-    order = itemgetter(1 if by_value else 0)
+    order = itemgetter(1 if by_value else 2)
     entries.sort(key=order)
-    for _, run in groupby(entries, key=order):
-        for entry in run:
-            for fl in islice(entry, 2, None):
-                left = hits[fl + 1] - 1
-                hits[fl + 1] = left
-                if not left:
-                    moves.append(~(fl + 1))
-                held = hits.get(fl, 0)
-                if not held:
-                    moves.append(fl)
-                hits[fl] = held + 1
-        yield entry[1], len(moves)
+    crossed, ends, last = [], [], None
+    move, count_of = log.moves.append, hits.get
+    for entry in entries:
+        for fl in entry[3:]:
+            up = fl + 1
+            left = hits[up] - 1
+            hits[up] = left
+            if not left:
+                move(~up)
+            held = count_of(fl, 0)
+            if not held:
+                move(fl)
+            hits[fl] = held + 1
+        key = order(entry)
+        if key != last:
+            crossed.append(entry[1])
+            ends.append(None)
+        ends[-1] = len(log.moves)
+        last = key
+    return log, crossed, ends
 
 
 class _MoveLog:
@@ -367,40 +384,39 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     at alpha = upper.  The horizon is computed on first read, once for the
     whole sweep.
 
-    One grouped pass over the prefix, then one pass of _crossings over the
-    sorted breakpoints, starting from pure ceiling, on the integer-first
-    sort keys that _split builds while it floors the prefix.  Each interval
-    holds its position in the sweep's log of member moves; its key is
-    replayed from the log when first read, and index maps are built only
+    One _PartTable pass over the prefix, then one pass of _crossings over
+    its sorted entries, starting from pure ceiling, on the integer-first
+    sort keys that _part builds while it floors each distinct part.  Each
+    interval holds its position in the sweep's log of member moves; its key
+    is replayed from the log when first read, and index maps are built only
     when a representative is read.  Returned sorted by lower endpoint,
     pure-ceiling interval first.
     """
-    cert, hits, groups = _prefix_tables(mold, m)
-    log = _MoveLog(sorted(hits))
+    cert, table = _prefix_tables(mold, m)
+    log, crossed, ends = _crossings(table)
+    del table  # its entries are freed before the intervals are built
     out = [AlphaInterval(_ZERO, _ZERO, 0, cert, log)]
     prev, at = _ZERO, 0
-    for frac, end in _crossings(hits, groups, log.moves):
+    for frac, end in zip(crossed, ends):
         out.append(AlphaInterval(prev, frac, at, cert, log))
         prev, at = frac, end
     out.append(AlphaInterval(prev, _ONE, at, cert, log))
     return out
 
 
-def _truncated_images(mold: Mold, m: int, bound: int, splits: list) -> set:
+def _truncated_images(mold: Mold, m: int, bound: int, table: _PartTable) -> set:
     """Every image & [0, bound) of m * mold over alpha in [0, 1], as sorted tuples.
 
-    Only elements with floor(m * mu_i) < bound enter (bound >= 1 keeps
-    mu_0 = 0): one at or above bound rounds to at least bound.  splits, the
-    _split(m * mu_i) of the leading indices, is extended as far as read, so
-    a caller raising bound for one (mold, m) splits each element once.
+    table, a _PartTable at m, is extended until an element has
+    floor(m * mu_i) >= bound, so a caller raising bound for one (mold, m)
+    splits each element once.  Elements at or above bound round to at least
+    bound, so the ones the table holds from a higher bound change no image.
     """
-    split = _scaled_splits(m)
-    while not splits or splits[-1][0] < bound:
-        splits.append(split(mold.element(len(splits))))
-    _, _, hits, groups = _grouped(takewhile(lambda s: s[0] < bound, splits))
-    log = _MoveLog(sorted(hits))
-    ends = sorted({0, *(end for _, end in _crossings(hits, groups, log.moves))})
-    return {tuple(members[:bisect_left(members, bound)]) for members in map(log.members, ends)}
+    floors = table.floors
+    while not floors or floors[-1] < bound:
+        table.extend((mold.element(len(floors)),))
+    log, _, ends = _crossings(table)
+    return {tuple(ms[:bisect_left(ms, bound)]) for ms in map(log.members, [0, *ends])}
 
 
 def interval_for_alpha(intervals, alpha: Rational) -> AlphaInterval:

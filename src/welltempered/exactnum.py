@@ -25,13 +25,13 @@ raises TypeError in either order.
 returns (floor, fractional part, sort key).  A golden or log part's key is
 (integer, part), the integer monotone in the part and a by-product of the
 floor, so sweeps order their breakpoints mostly by integer comparisons.
-``_split_golden`` splits a + b*tau from its integer coefficients, for
-``_split`` and ``_scaled_splits`` alike.  Every Z[tau] floor, split or
-not, comes from ``_floor_int_tau``, which brackets |b|*sqrt(5) with a
-fixed-point sqrt(5) built once at import and settles the bracket by one
-integer test, taking no square root below 2^256.  ``_scaled_splits``
-splits the m-multiples of a sequence, once per distinct fractional part;
-values with one part share its part and key objects.
+``_scaled_component`` writes m * x as an integer plus a component, m*b of
+a golden a + b*tau or (m*mult, arg) of a log, which fixes the fractional
+part; ``_part`` splits a component, so memos keyed on components split
+each distinct part once.  Every Z[tau] floor, split or not, comes from
+``_floor_int_tau``, which brackets |b|*sqrt(5) with a fixed-point sqrt(5)
+built once at import and settles the bracket by at most one integer
+test, taking no square root below 2^256.
 
 Arithmetic results are built through two private raw constructors,
 ``_golden`` and ``_log``, which skip the coefficient checks and the
@@ -133,10 +133,11 @@ _SQRT5 = math.isqrt(5 << (2 * _SQRT5_BITS))
 def _floor_int_tau(a: int, b: int) -> int:
     """floor(a + b*tau) for integers a, b, from s = floor(|b|*sqrt(5)).
 
-    For 0 < |b| < 2^E, E = _SQRT5_BITS, q = (|b| * _SQRT5) >> E satisfies
-    q <= |b|*sqrt(5) < q + 2, as |b| * (sqrt(5) - _SQRT5 / 2^E) < 1; s is
-    then q + 1 exactly when (q + 1)^2 <= 5*b^2, and q otherwise.  Only a
-    larger |b| takes math.isqrt(5*b^2).
+    For 0 < |b| < 2^E, E = _SQRT5_BITS, p = |b| * _SQRT5 satisfies
+    p < |b|*sqrt(5) * 2^E < p + |b|, as 0 < sqrt(5) * 2^E - _SQRT5 < 1, so
+    q = p >> E satisfies q <= |b|*sqrt(5) < q + 2.  s is q unless
+    (p + |b|) >> E passes q, and then q + 1 exactly when
+    (q + 1)^2 <= 5*b^2.  Only a larger |b| takes math.isqrt(5*b^2).
     """
     if b == 0:
         return a
@@ -144,8 +145,9 @@ def _floor_int_tau(a: int, b: int) -> int:
     if n >> _SQRT5_BITS:
         s = math.isqrt(5 * n * n)
     else:
-        s = (n * _SQRT5) >> _SQRT5_BITS
-        if (s + 1) * (s + 1) <= 5 * n * n:
+        p = n * _SQRT5
+        s = p >> _SQRT5_BITS
+        if (p + n) >> _SQRT5_BITS > s and (s + 1) * (s + 1) <= 5 * n * n:
             s += 1
     if b > 0:
         # max k with 2k + b <= b*sqrt(5); equality is impossible
@@ -600,15 +602,16 @@ def _split(x: ExactValue) -> tuple:
     """(floor, fractional part, sort key) of x, flooring x once.
 
     The part and the key are None at an integer, and the key is None for a
-    part without one.  A golden a + b*tau with int coefficients goes to
-    _split_golden.  A log m*log2(n) + c whose power p = n**m _power builds
-    is floored as bit_length(p) - 1 + c, and p's leading K + 1 bits, K =
+    part without one.  A golden a + b*tau with int coefficients is a plus
+    _part(b).  A log m*log2(n) + c whose power p = n**m _power builds is
+    floored as bit_length(p) - 1 + c, and p's leading K + 1 bits, K =
     _KEY_BITS, are floor(2^(K + part)).  The key is (that integer, part):
     the integer is monotone in the part, and equal integers fall back to the
     exact parts.
     """
     if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
-        return _split_golden(x._a, x._b)
+        floor, frac, key = _part(x._b)
+        return x._a + floor, frac, key
     if type(x) is LogValue and x._n != 1 and (power := x._power()) is not None:
         bits = power.bit_length()
         floor = bits - 1 + x._c
@@ -621,46 +624,35 @@ def _split(x: ExactValue) -> tuple:
     return floor, x - floor, None
 
 
-def _split_golden(a: int, b: int) -> tuple:
-    """_split(a + b*tau) for integers a, b, by one _floor_int_tau.
+def _scaled_component(x: ExactValue, m: int) -> tuple:
+    """(offset, component) of m * x, an integer plus the value of the component.
 
-    t = floor(2^K * b*tau), K = _KEY_BITS, gives the floor a + (t >> K),
-    and t's low K bits are floor(2^K * part).
+    The component is m*b, for m*b*tau, of a golden a + b*tau with int
+    coefficients, or (m*mult, arg), for (m*mult)*log2(arg), of a log; the
+    offset is m*a or m*c.  Any other value is scaled whole, with component
+    0 at an integer.
     """
-    if b == 0:
-        return a, None, None
-    t = _floor_int_tau(0, b << _KEY_BITS)
-    floor = a + (t >> _KEY_BITS)
-    frac = _golden(a - floor, b)
-    return floor, frac, (t & ((1 << _KEY_BITS) - 1), frac)
+    if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
+        return x._a * m, x._b * m
+    if type(x) is LogValue and x._n != 1:
+        return x._c * m, (x._m * m, x._n)
+    y = scale(x, m)
+    return (exact_floor(y), 0) if exact_is_integer(y) else (0, y)
 
 
-def _scaled_splits(m: int):
-    """A function x -> _split(m * x) that floors and keys each distinct part once.
+def _part(component) -> list:
+    """_split's [floor, fractional part, sort key] of a component of _scaled_component.
 
-    m * x is an integer plus a component, m*b*tau of a golden a + b*tau with
-    int coefficients or (m*mult)*log2(arg) of a log.  The component's split
-    is kept, keyed on m*b or (m*mult, arg); a later x with that component
-    costs one addition and shares the kept part and key objects.  Any other
-    value is scaled and split on its own.
+    An int c is split by one _floor_int_tau: t = floor(2^K * c*tau), K =
+    _KEY_BITS, gives the floor t >> K, and t's low K bits floor(2^K * part).
     """
-    memo = {}
-
-    def split(x: ExactValue) -> tuple:
-        if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
-            offset, component = x._a * m, x._b * m
-        elif type(x) is LogValue and x._n != 1:
-            offset, component = x._c * m, (x._m * m, x._n)
-        else:
-            return _split(scale(x, m))
-        kept = memo.get(component)
-        if kept is None:
-            kept = memo[component] = (_split_golden(0, component) if type(component) is int
-                                      else _split(_log(*component, 0)))
-        s, frac, key = kept
-        return offset + s, frac, key
-
-    return split
+    if type(component) is not int:
+        return list(_split(_log(*component, 0) if type(component) is tuple else component))
+    if not component:
+        return [0, None, None]
+    t = _floor_int_tau(0, component << _KEY_BITS)
+    frac = _golden(-(t >> _KEY_BITS), component)
+    return [t >> _KEY_BITS, frac, (t & ((1 << _KEY_BITS) - 1), frac)]
 
 
 def _round(floor: int, frac, alpha) -> int:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 
-from .discretize import AlphaInterval, _discretize_at, _truncated_images, alpha_sweep
+from .discretize import AlphaInterval, _discretize_at, _PartTable, _truncated_images, alpha_sweep
 from .exactnum import (
     PrecisionBudgetExceeded,
     certified_sign,
@@ -179,11 +179,11 @@ def _exclusion(lmold: Mold, fmold: Mold, m: int) -> tuple[int, int, int, int] | 
     images, hence equal truncations below B, so m is excluded at the first
     B where the two molds' sets of truncations are disjoint.
     """
-    splits_l, splits_f = [], []
+    table_l, table_f = _PartTable(m), _PartTable(m)
     for k in _LADDER:
         bound = exact_floor(scale(lmold.element(k), m))
-        images_l = _truncated_images(lmold, m, bound, splits_l)
-        images_f = _truncated_images(fmold, m, bound, splits_f)
+        images_l = _truncated_images(lmold, m, bound, table_l)
+        images_f = _truncated_images(fmold, m, bound, table_f)
         if images_l.isdisjoint(images_f):
             return k, bound, len(images_l), len(images_f)
     return None

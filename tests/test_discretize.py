@@ -1,5 +1,6 @@
 """Threshold rounding of molds, truncation certificates, alpha sweep."""
 
+import hashlib
 import importlib
 import math
 import random
@@ -16,6 +17,7 @@ from welltempered.exactnum import (
     GoldenNumber,
     LogValue,
     PrecisionBudgetExceeded,
+    _split,
     exact_floor,
     exact_frac,
     exact_is_integer,
@@ -25,6 +27,7 @@ from welltempered.exactnum import (
 )
 from welltempered.discretize import (
     AlphaInterval,
+    _PartTable,
     _prefix_tables,
     _truncated_images,
     alpha_sweep,
@@ -34,11 +37,15 @@ from welltempered.discretize import (
 )
 from welltempered.molds import (
     ExplicitMold,
+    FractalMold,
     Mold,
+    PeriodSpec,
     SpacingCertificateError,
     golden_fractal_mold,
     metric_mold,
+    mold_d,
     mold_q,
+    perfect_fractal_mold,
 )
 from welltempered.semigroups import from_discretization
 
@@ -408,15 +415,20 @@ def test_sweep_reads_only_the_certified_prefix(make, m):
                          ids=["L12", "L18", "F12", "F34", "Q19"])
 def test_truncated_images_are_the_sweep_images_below_the_bound(mold, m):
     sweep = alpha_sweep(mold, m)
-    splits = []
+
+    def expected(bound):
+        return {tuple(v for v in (*iv.key[0], *range(iv.key[1], bound)) if v < bound)
+                for iv in sweep}
+
+    table = _PartTable(m)
+    floors = table.floors
     for bound in (1, 2 * m, 3 * m, sweep[0].certificate.conductor + 3):
-        expected = {tuple(v for v in (*iv.key[0], *range(iv.key[1], bound)) if v < bound)
-                    for iv in sweep}
-        assert _truncated_images(mold, m, bound, splits) == expected
-        assert splits[-1][0] >= bound and all(s[0] < bound for s in splits[:-1])
-    grown = len(splits)
-    _truncated_images(mold, m, 2 * m, splits)
-    assert len(splits) == grown  # a lower bound splits nothing new
+        assert _truncated_images(mold, m, bound, table) == expected(bound)
+        assert floors[-1] >= bound and all(floor < bound for floor in floors[:-1])
+    grown = len(floors)
+    # a lower bound splits nothing new, and the elements above it change no image
+    assert _truncated_images(mold, m, 2 * m, table) == expected(2 * m)
+    assert len(floors) == grown
 
 
 def test_equal_fractional_parts_flip_in_one_crossing():
@@ -528,9 +540,10 @@ def test_discretize_rounds_each_distinct_part_once(monkeypatch):
 
 
 def _breakpoints(mold, m):
-    # the sort key of each index, as its part's group holds it
-    cert, _, groups = _prefix_tables(mold, m)
-    keys = [None if frac is None else groups[id(frac)][0] for frac in cert.fracs]
+    # the sort key of each index, as its part's table entry holds it
+    cert, table = _prefix_tables(mold, m)
+    key_of = {entry[1]: entry[2] for entry in table.parts.values()}
+    keys = [None if frac is None else key_of[frac] for frac in cert.fracs]
     return cert.fracs, keys, [i for i, frac in enumerate(cert.fracs) if frac is not None]
 
 
@@ -571,7 +584,8 @@ def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
     exactnum = importlib.import_module("welltempered.exactnum")
     cases = ((F, 34), (F, 100), (L, 60), (L, 400), (Q, 19))
     rows = {(mold.name, m): _rows(alpha_sweep(mold, m)) for mold, m in cases}
-    images = {(mold.name, m): _truncated_images(mold, m, 3 * m, []) for mold, m in cases}
+    images = {(mold.name, m): _truncated_images(mold, m, 3 * m, _PartTable(m))
+              for mold, m in cases}
     monkeypatch.setattr(exactnum, "_KEY_BITS", 2)
     for mold, m in cases[:-1]:
         fracs, keys, live = _breakpoints(mold, m)
@@ -579,7 +593,8 @@ def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
         assert sorted(live, key=keys.__getitem__) == sorted(live, key=fracs.__getitem__), m
     for mold, m in cases:
         assert _rows(alpha_sweep(mold, m)) == rows[mold.name, m], (mold.name, m)
-        assert _truncated_images(mold, m, 3 * m, []) == images[mold.name, m], (mold.name, m)
+        images_now = _truncated_images(mold, m, 3 * m, _PartTable(m))
+        assert images_now == images[mold.name, m], (mold.name, m)
 
 
 def test_keyless_or_mixed_parts_sort_by_value():
@@ -656,6 +671,45 @@ def test_equal_parts_of_one_sweep_are_one_object(mold, m):
     by_value = {f: f for f in parts}
     assert all(by_value[iv.upper] is iv.upper for iv in sweep[1:-1])
     assert len(sweep) == len(distinct) + 2
+
+
+# sha256 of repr(values) of alpha_sweep(F, 200)[-1].representative, as recorded
+# while each index past the prefix was still split on its own
+F200_LAST_VALUES = (16404, "68f375d412e6c09981c104b14c74cff69bf14b076ebbb88c196d74602bb7b5f6")
+
+
+def test_values_past_the_prefix_split_each_distinct_component_once(monkeypatch):
+    exactnum = importlib.import_module("welltempered.exactnum")
+    rep = alpha_sweep(F, 200)[-1].representative
+    horizon = rep.horizon  # the walk floors each element it checks; it is not counted here
+    calls = Counter()
+    monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
+                        calls.update(["_floor_int_tau"]) or _fn(a, b))
+    values = rep.values
+    components = {200 * x.b for x in F.elements(horizon + 1)}
+    assert calls["_floor_int_tau"] <= len(components) + 2 < horizon - rep.certificate.prefix_end
+    assert (len(values), hashlib.sha256(repr(values).encode()).hexdigest()) == F200_LAST_VALUES
+
+
+# rational sweeps that no sha256 row covers, several with equal parts at one m
+ORACLE_CASES = [(mold_d(), 12), (mold_d(), 19), (perfect_fractal_mold(3), 12),
+                (FractalMold(PeriodSpec([1, 1 + Fraction(3, 5)])), 12),
+                (FractalMold(PeriodSpec([1, 1 + Fraction(3, 5)])), 34)]
+
+
+@pytest.mark.parametrize("mold, m", ORACLE_CASES, ids=["D12", "D19", "perfect3_12", "R12", "R34"])
+def test_sweeps_match_a_brute_force_oracle(mold, m):
+    # breakpoints are the distinct parts of the split prefix in exact order,
+    # and each interval's key is the direct discretization at its upper end
+    sweep = alpha_sweep(mold, m)
+    prefix_end = mold.spacing_index(m)[0]
+    parts = sorted({_split(scale(mold.element(i), m))[1] for i in range(prefix_end + 1)} - {None})
+    ends = [0, *parts, 1]
+    expected = []
+    for lower, upper in [(0, 0), *zip(ends, ends[1:])]:
+        d = discretize(mold, m, upper)
+        expected.append((lower, upper, (d.prefix, d.conductor)))
+    assert _rows(sweep) == expected
 
 
 def test_floor_alpha_is_the_discretization_rule():

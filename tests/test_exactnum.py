@@ -34,6 +34,7 @@ from welltempered.exactnum import (
     rational_between,
     scale,
 )
+from welltempered.discretize import _PartTable
 
 
 def _golden_sign_highprec(x: GoldenNumber) -> int:
@@ -330,14 +331,14 @@ def test_split_floors_once_and_keys_by_integers(monkeypatch):
               for _ in range(200)]
     logs = [LogValue(rng.randint(1, 500), rng.choice((3, 5, 7, 1001)), rng.randint(-99, 99))
             for _ in range(200)]
-    roots = Counter()
+    calls = Counter()
     monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
-                        roots.update(["isqrt"]) or _fn(a, b))
+                        calls.update(["_floor_int_tau"]) or _fn(a, b))
     for x in golden + logs:
-        roots.clear()
+        calls.clear()
         floor, frac, key = _split(x)
         is_golden = type(x) is GoldenNumber
-        assert roots["isqrt"] == is_golden  # one _floor_int_tau, or none
+        assert calls["_floor_int_tau"] == is_golden  # one _floor_int_tau, or none
         assert (floor, frac) == (exact_floor(x), exact_frac(x)) and key[1] is frac
         if is_golden:  # floor(2^64 * frac)
             assert key[0] == exact_floor(frac * 2 ** 64)
@@ -357,27 +358,30 @@ def test_split_floors_once_and_keys_by_integers(monkeypatch):
         assert _split(x) == expected
 
 
-def test_scaled_splits_split_each_distinct_part_once(monkeypatch):
+def test_part_table_splits_each_distinct_part_once(monkeypatch):
     rng = random.Random(20261020)
     values = [GoldenNumber(rng.randint(-50, 50), rng.randint(-9, 9)) for _ in range(300)]
     values += [LogValue(rng.randint(1, 3), rng.choice((3, 5, 12, 40)), rng.randint(-9, 9))
                for _ in range(300)]
     values += [Fraction(rng.randint(-99, 99), 7), LogValue(2, 1, 5), GoldenNumber(Fraction(1, 2), 1)]
-    roots = Counter()
+    calls = Counter()
     monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
-                        roots.update(["isqrt"]) or _fn(a, b))
+                        calls.update(["_floor_int_tau"]) or _fn(a, b))
     for m in (1, 7, 400):
         expected = [_split(scale(x, m)) for x in values]
-        roots.clear()
-        split, parts = exactnum._scaled_splits(m), {}
+        calls.clear()
+        table, parts = _PartTable(m), {}
+        table.extend(values)
+        golden_parts = {m * x.b for x in values[:300] if x.b}
+        # one floor each, and the Q[tau] one
+        assert calls["_floor_int_tau"] == len(golden_parts) + 1
         for k, (x, each) in enumerate(zip(values, expected)):
-            floor, frac, key = split(x)
+            floor, frac = table.floors[k], table.fracs[k]
+            key = table.parts[exactnum._scaled_component(x, m)[1]][2]
             assert (floor, frac, key) == each, (m, x)
             if k < 600 and key is not None:  # equal parts are one object, with one key
                 assert parts.setdefault(frac, (frac, key)) == (frac, key)
                 assert parts[frac][0] is frac and parts[frac][1] is key
-        golden_parts = {m * x.b for x in values[:300] if x.b}
-        assert roots["isqrt"] == len(golden_parts) + 1  # one floor each, and the Q[tau] one
 
 
 def test_floor_alpha_rejects_bad_alpha():
