@@ -13,9 +13,11 @@ TruncationCertificate per (mold, m) carries the spacing proof and the
 split prefix that fix every image set, and d.certificate and
 interval.certificate expose it.  Its walk to the horizon, which re-checks
 the steps past N exactly, and the index maps are computed only when
-something reads them.  A sweep keeps no image set per interval: it logs
-the members each crossing moves, and an interval's key is replayed from
-that log when it is first read.
+something reads them.  The prefix is split from the mold's
+scaled_components, (offset, component) pairs that a golden fractal mold
+reads from its integer columns without building a number.  A sweep keeps
+no image set per interval: it logs the members each crossing moves, and
+an interval's key is replayed from that log when it is first read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from operator import add, invert, is_not, itemgetter
 
 from .exactnum import (
@@ -33,7 +35,6 @@ from .exactnum import (
     _check_alpha,
     _part,
     _round,
-    _scaled_component,
     certified_sign,
     exact_floor,
     scale,
@@ -42,6 +43,7 @@ from .molds import Mold, SpacingCertificateError, _check_multiplicity, _Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CHUNK = 1024  # the most indices _scaled_from reads at once
 
 
 class TruncationCertificate(_Record):
@@ -108,6 +110,7 @@ class Discretization(_Record):
     round(m * mu_i) for 0 <= i <= horizon; the horizon is computed on first
     read (of horizon, values or ==), and the rest of values is then rounded
     from the mold.  iter_values() goes on past the prefix without a horizon,
+    reading the mold's scaled_components in chunks (_scaled_from), and
     splitting and rounding each distinct component once.  The index map is
     kept because collapse detection needs to know which mold indices landed
     on the same integer.
@@ -128,10 +131,8 @@ class Discretization(_Record):
         """round(m * mu_i) for i = 0, 1, 2, ... without end."""
         yield from self._head
         cert = self.certificate
-        mold, m = cert.mold, cert.multiplicity
         rounded = {}  # component -> its floor, rounded at alpha
-        for i in count(cert.prefix_end + 1):
-            offset, component = _scaled_component(mold.element(i), m)
+        for offset, component in _scaled_from(cert.mold, cert.prefix_end + 1, cert.multiplicity):
             if component not in rounded:
                 rounded[component] = _round(*_part(component)[:2], self._alpha)
             yield offset + rounded[component]
@@ -142,6 +143,18 @@ class Discretization(_Record):
 
     def __hash__(self):
         return hash((self._certificate, self._conductor, self._prefix))
+
+
+def _scaled_from(mold: Mold, start: int, m: int):
+    """mold.scaled_components from index start on, without end, in chunks of 16, 32, 64, ...
+
+    The first chunk covers the ten or so indices a census bound adds; a
+    values walk reads thousands.
+    """
+    size = 16
+    while True:
+        yield from mold.scaled_components(start, start + size, m)
+        start, size = start + size, min(2 * size, _CHUNK)
 
 
 def _check_step(mold: Mold, i: int, current, following) -> None:
@@ -155,21 +168,21 @@ class _PartTable:
     """The split prefix of m * mold, with one entry per distinct component.
 
     floors[i] and fracs[i] split m * mu_i.  parts maps each component of
-    _scaled_component to [floor, part, key, floors...]: _part's split of
-    the component, made on the first miss, then the floors of the indices
-    that share it.  A golden or log part has one component; a value split
-    whole is its own.  extend() splits further elements, each past the
-    first of its component by one lookup and one addition.
+    the mold's scaled_components to [floor, part, key, floors...]: _part's
+    split of the component, made on the first miss, then the floors of the
+    indices that share it.  A golden or log part has one component; a value
+    split whole is its own.  extend() takes (offset, component) pairs, as
+    mold.scaled_components(start, stop, m) returns them, and splits each
+    past the first of its component by one lookup and one addition.
     """
 
     def __init__(self, m: int):
         self.m, self.parts, self.floors, self.fracs = m, {}, [], []
 
-    def extend(self, elements) -> None:
-        m, parts, entry_of = self.m, self.parts, self.parts.get
+    def extend(self, pairs) -> None:
+        parts, entry_of = self.parts, self.parts.get
         add_floor, add_frac = self.floors.append, self.fracs.append
-        for x in elements:
-            offset, component = _scaled_component(x, m)
+        for offset, component in pairs:
             entry = entry_of(component)
             if entry is None:
                 entry = parts[component] = _part(component)
@@ -193,7 +206,7 @@ def _prefix_tables(mold: Mold, m: int) -> tuple:
     _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
                 scale(mold.element(prefix_end + 1), m))
     table = _PartTable(m)
-    table.extend(mold.elements(prefix_end + 1))
+    table.extend(mold.scaled_components(0, prefix_end + 1, m))
     floors, fracs = table.floors, table.fracs
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
@@ -384,13 +397,13 @@ def alpha_sweep(mold: Mold, m: int) -> list:
     at alpha = upper.  The horizon is computed on first read, once for the
     whole sweep.
 
-    One _PartTable pass over the prefix, then one pass of _crossings over
-    its sorted entries, starting from pure ceiling, on the integer-first
-    sort keys that _part builds while it floors each distinct part.  Each
-    interval holds its position in the sweep's log of member moves; its key
-    is replayed from the log when first read, and index maps are built only
-    when a representative is read.  Returned sorted by lower endpoint,
-    pure-ceiling interval first.
+    One _PartTable pass over the mold's scaled components of the prefix,
+    then one pass of _crossings over its sorted entries, starting from pure
+    ceiling, on the integer-first sort keys that _part builds while it
+    floors each distinct part.  Each interval holds its position in the
+    sweep's log of member moves; its key is replayed from the log when
+    first read, and index maps are built only when a representative is
+    read.  Returned sorted by lower endpoint, pure-ceiling interval first.
     """
     cert, table = _prefix_tables(mold, m)
     log, crossed, ends = _crossings(table)
@@ -413,8 +426,12 @@ def _truncated_images(mold: Mold, m: int, bound: int, table: _PartTable) -> set:
     bound, so the ones the table holds from a higher bound change no image.
     """
     floors = table.floors
-    while not floors or floors[-1] < bound:
-        table.extend((mold.element(len(floors)),))
+
+    def below_bound(pairs):  # reads no element past the first floor at bound
+        while not floors or floors[-1] < bound:
+            yield next(pairs)
+
+    table.extend(below_bound(_scaled_from(mold, len(floors), table.m)))
     log, _, ends = _crossings(table)
     return {tuple(ms[:bisect_left(ms, bound)]) for ms in map(log.members, [0, *ends])}
 

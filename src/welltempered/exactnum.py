@@ -27,8 +27,10 @@ returns (floor, fractional part, sort key).  A golden or log part's key is
 floor, so sweeps order their breakpoints mostly by integer comparisons.
 ``_scaled_component`` writes m * x as an integer plus a component, m*b of
 a golden a + b*tau or (m*mult, arg) of a log, which fixes the fractional
-part; ``_part`` splits a component, so memos keyed on components split
-each distinct part once.  Every Z[tau] floor, split or not, comes from
+part.  Its one caller is ``Mold.scaled_components``; a golden fractal mold
+overrides that and reads the same pairs from its integer coefficient
+columns, with no number built.  ``_part`` splits a component, so tables
+keyed on components split each distinct part once.  Every Z[tau] floor, split or not, comes from
 ``_floor_int_tau``, which brackets |b|*sqrt(5) with a fixed-point sqrt(5)
 built once at import and settles the bracket by at most one integer
 test, taking no square root below 2^256.
@@ -772,6 +774,8 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
         if type(y) is Fraction and type(x._a) is int and type(x._b) is int:
             q = y.denominator  # q*x - q*y in integers, for the _round hot path
             return _sign_a_b_tau(q * x._a - y.numerator, q * x._b)
+        if type(y) is GoldenNumber:  # x - y by coefficients, as a walk's step check needs
+            return _sign_a_b_tau(x._a - y._a, x._b - y._b)
         return (x - y).sign()
     if type(y) is GoldenNumber:
         return -certified_sign(y, x)

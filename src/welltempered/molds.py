@@ -25,6 +25,7 @@ from .exactnum import (
     GoldenNumber,
     LogValue,
     _golden,
+    _scaled_component,
     certified_decision,
     certified_sign,
     exact_floor,
@@ -187,6 +188,10 @@ class Mold:
     def elements(self, count: int) -> list:
         return [self.element(i) for i in range(count)]
 
+    def scaled_components(self, start: int, stop: int, m: int):
+        """The (offset, component) pairs _scaled_component(mu_i, m) for start <= i < stop."""
+        return map(_scaled_component, map(self.element, range(start, stop)), itertools.repeat(m))
+
     def spacing_index(self, m: int) -> tuple[int, str]:
         """Smallest certified index N with m * (mu_(i+1) - mu_i) < 1 for all i >= N.
 
@@ -252,42 +257,16 @@ def f_ell(ell: int, n: int, p) -> ExactValue:
     return out
 
 
-def _fractal_elements(pieces: list):
-    """Elements of the fractal mold with these first-period pieces, in order.
-
-    pieces holds (o_j, w_j) per piece, the first starting at 0.  Period k+1
-    is period k scaled into every piece; each element is yielded as soon as
-    its offset is computed, and only the offsets of the previous period and
-    of the current one so far are kept.  Offsets are (a, b) coefficient
-    pairs of a + b*tau, so one number is built per element: a GoldenNumber,
-    or k + a for rational cuts, whose b stay 0.
-    """
-    golden = isinstance(pieces[0][0], GoldenNumber)
-    pairs = [[(v.a, v.b) if golden else (v, 0) for v in piece] for piece in pieces]
-    prev = [pairs[0][0]]
-    yield pieces[0][0]
-    for k in itertools.count(1):
-        offsets = []
-        for (oa, ob), (wa, wb) in pairs:
-            for xa, xb in prev:
-                if golden:  # o + w*x, with tau^2 = 1 - tau
-                    ya, yb = oa + wa * xa + wb * xb, ob + wa * xb + wb * (xa - xb)
-                else:
-                    ya, yb = oa + wa * xa, 0
-                offsets.append((ya, yb))
-                yield _golden(k + ya, yb) if golden else k + ya
-        prev = offsets
-
-
 class FractalMold(Mold):
     """Fractal mold generated from a first period by proportional subdivision.
 
     The first period cuts [0, 1) into pieces, piece j starting at offset o_j
     with width w_j (up to the next cut, or to 1).  Period k+1 is period k
     scaled into every piece in turn: the concatenation over j of
-    [o_j + w_j * x for x in period k].  One generator computes the elements
-    in order as they are read, into one flat cache that grows only up to the
-    largest index asked for; it holds the pieces, not the mold.
+    [o_j + w_j * x for x in period k].  The elements are kept as columns a
+    and b of a + b*tau (b = 0 for rational cuts), grown only up to the
+    largest index read, by list comprehensions over a slice of period k.
+    element() builds its number when read; scaled_components() builds none.
     """
 
     def __init__(self, period: PeriodSpec, name: str = ""):
@@ -303,8 +282,14 @@ class FractalMold(Mold):
         offsets = period.offsets()
         ends = offsets[1:] + [period.cuts[0]]  # the last piece ends at exact 1
         self._pieces = [(o, end - o) for o, end in zip(offsets, ends)]
-        self._elements: list = []
-        self._stream = _fractal_elements(self._pieces)
+        golden = self._is_golden = period.family == "golden"
+        self._coeffs = [(o.a, o.b, w.a, w.b) if golden else (o, 0, w, 0) for o, w in self._pieces]
+        self._int_columns = golden and all(type(c) is int for cs in self._coeffs for c in cs)
+        self._columns = ([0 if golden else Fraction(0)], [0])  # element 0
+        # the columns fill piece j of period k + 1 from period k, of size elements;
+        # _piece is that slice: its end, how far back it reads, and its coefficients.
+        # This placeholder slice ends at index 1, where piece 0 of period 1 starts
+        self._period, self._piece = (0, -1, 1), (1, 0, 0, 0, 0, 0)
 
     @property
     def granularity(self) -> int:
@@ -314,19 +299,54 @@ class FractalMold(Mold):
         l = self.spec.granularity
         return ((l ** ell) - 1) // (l - 1)
 
+    def _fill(self, stop: int) -> None:
+        """Extend the columns to elements 0..stop-1, a slice of one piece at a time."""
+        a, b = self._columns
+        while (n := len(a)) < stop:
+            end, shift, ca, cb, wa, wb = self._piece
+            if n == end:  # piece j + 1 of period k + 1 starts, or piece 0 of period k + 2
+                k, j, size = self._period
+                l = len(self._coeffs)
+                k, j, size = self._period = (k, j + 1, size) if j + 1 < l else (k + 1, 0, size * l)
+                oa, ob, wa, wb = self._coeffs[j]
+                # k + x becomes k + 1 + o + w*x, with x = (a - k) + b*tau and tau^2 = 1 - tau,
+                # read from the index shift places back
+                self._piece = n + size, size * (j + 1), k + 1 + oa - wa * k, ob - wb * k, wa, wb
+                continue
+            lo, hi = n - shift, min(stop, end) - shift
+            if not self._is_golden:
+                a += [ca + wa * x for x in a[lo:hi]]
+                b += [0] * (hi - lo)
+            elif hi > lo + 1:
+                xs, ys = a[lo:hi], b[lo:hi]
+                a += [ca + wa * x + wb * y for x, y in zip(xs, ys)]
+                b += [cb + wb * x + (wa - wb) * y for x, y in zip(xs, ys)]
+            else:  # one element, as a walk reads them
+                x, y = a[lo], b[lo]
+                a.append(ca + wa * x + wb * y)
+                b.append(cb + wb * x + (wa - wb) * y)
+
     def element(self, i: int):
         if i < 0:
             raise IndexError("mold indices start at 0")
-        cache = self._elements
-        if len(cache) <= i:
-            cache.extend(itertools.islice(self._stream, i + 1 - len(cache)))
-        return cache[i]
+        a, b = self._columns
+        if len(a) <= i:
+            self._fill(i + 1)
+        return _golden(a[i], b[i]) if self._is_golden else a[i]
 
     def elements(self, count: int) -> list:
         if count < 1:
             return []
-        self.element(count - 1)
-        return self._elements[:count]
+        self._fill(count)
+        a, b = self._columns
+        return list(map(_golden, a[:count], b[:count])) if self._is_golden else a[:count]
+
+    def scaled_components(self, start: int, stop: int, m: int):
+        self._fill(stop)
+        if not self._int_columns:
+            return super().scaled_components(start, stop, m)
+        a, b = self._columns
+        return zip(map(m.__mul__, a[start:stop]), map(m.__mul__, b[start:stop]))
 
     def spacing_index(self, m: int) -> tuple[int, str]:
         _check_multiplicity(m, "multiplicity must be >= 1")

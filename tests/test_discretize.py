@@ -14,9 +14,11 @@ import pytest
 from welltempered.cli import main
 from welltempered.exactnum import (
     PREC_BUDGET_BITS,
+    TAU,
     GoldenNumber,
     LogValue,
     PrecisionBudgetExceeded,
+    _scaled_component,
     _split,
     exact_floor,
     exact_frac,
@@ -41,6 +43,7 @@ from welltempered.molds import (
     Mold,
     PeriodSpec,
     SpacingCertificateError,
+    f_ell,
     golden_fractal_mold,
     metric_mold,
     mold_d,
@@ -507,6 +510,31 @@ def test_sweep_keys_are_built_on_first_read(monkeypatch):
     assert len(built) == len({id(key) for key in keys}) < len(sweep)
 
 
+def _count_golden_builds(monkeypatch) -> list:
+    """Record every GoldenNumber built, raw in either module or through the constructor."""
+    exactnum = importlib.import_module("welltempered.exactnum")
+    molds = importlib.import_module("welltempered.molds")
+    built = []
+    raw, init = exactnum._golden, GoldenNumber.__init__
+    for module in (exactnum, molds):
+        monkeypatch.setattr(module, "_golden", lambda a, b: built.append(1) or raw(a, b))
+    monkeypatch.setattr(GoldenNumber, "__init__",
+                        lambda self, a=0, b=0: built.append(1) or init(self, a, b))
+    return built
+
+
+def test_golden_sweep_builds_numbers_only_for_its_distinct_parts(monkeypatch):
+    # the part table reads F's coefficient columns as integers; building a
+    # number per prefix element made about 6 100 here
+    mold = golden_fractal_mold()
+    built = _count_golden_builds(monkeypatch)
+    sweep = alpha_sweep(mold, 200)
+    parts = len(sweep) - 2  # one breakpoint per distinct part
+    # _part builds each part; the spacing proof's powers of tau build 15
+    # more, and the checked step 5
+    assert parts == 2047 and len(built) <= parts + 20
+
+
 @pytest.mark.parametrize("mold, m", [(F, 100), (L, 400), (Q, 19)], ids=["F100", "L400", "Q19"])
 def test_keys_read_in_any_order_agree(mold, m):
     in_order = [iv.key for iv in alpha_sweep(mold, m)]
@@ -689,6 +717,47 @@ def test_values_past_the_prefix_split_each_distinct_component_once(monkeypatch):
     components = {200 * x.b for x in F.elements(horizon + 1)}
     assert calls["_floor_int_tau"] <= len(components) + 2 < horizon - rep.certificate.prefix_end
     assert (len(values), hashlib.sha256(repr(values).encode()).hexdigest()) == F200_LAST_VALUES
+
+
+def test_values_past_the_prefix_build_one_number_per_distinct_component(monkeypatch):
+    mold = golden_fractal_mold()
+    rep = alpha_sweep(mold, 200)[-1].representative
+    horizon = rep.horizon  # the walk builds the elements it checks; it is not counted here
+    components = {200 * x.b for x in mold.elements(horizon + 1)}
+    built = _count_golden_builds(monkeypatch)
+    values = rep.values
+    assert len(built) <= len(components) + 2
+    assert (len(values), hashlib.sha256(repr(values).encode()).hexdigest()) == F200_LAST_VALUES
+
+
+def _period_start_reads(count: int, seed: int) -> list:
+    """Indices below count around each period start 2^k - 1, and a few others, shuffled."""
+    rng = random.Random(seed)
+    near = {(1 << k) - 1 + d for k in range(count.bit_length()) for d in (-2, -1, 0, 1, 2)}
+    reads = sorted(i for i in near | set(rng.sample(range(count), 40)) if 0 <= i < count)
+    rng.shuffle(reads)
+    return reads
+
+
+@pytest.mark.parametrize("make, p", [
+    (lambda: FractalMold(PeriodSpec([1, 1 + Fraction(3, 5)])), Fraction(3, 5)),
+    (golden_fractal_mold, TAU)], ids=["rational", "F"])
+def test_fractal_columns_agree_with_the_recursion_after_shuffled_reads(make, p):
+    count = (1 << 11) - 1
+    expected = [0]
+    for i in range(1, count):
+        ell = (i + 1).bit_length() - 1
+        expected.append(ell + f_ell(ell, i + 1 - (1 << ell), p))
+    mold = make()
+    for i in _period_start_reads(count, 20261020):
+        assert mold.element(i) == expected[i], i
+    assert mold.elements(count) == expected
+    # windows around the period starts, read in any order from fresh columns
+    mold = make()
+    for i in _period_start_reads(count, 7):
+        start, stop = max(0, i - 3), min(count, i + 4)
+        pairs = list(mold.scaled_components(start, stop, 12))
+        assert pairs == [_scaled_component(x, 12) for x in expected[start:stop]], i
 
 
 # rational sweeps that no sha256 row covers, several with equal parts at one m

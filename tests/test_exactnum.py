@@ -35,6 +35,7 @@ from welltempered.exactnum import (
     scale,
 )
 from welltempered.discretize import _PartTable
+from welltempered.molds import ExplicitMold
 
 
 def _golden_sign_highprec(x: GoldenNumber) -> int:
@@ -371,7 +372,7 @@ def test_part_table_splits_each_distinct_part_once(monkeypatch):
         expected = [_split(scale(x, m)) for x in values]
         calls.clear()
         table, parts = _PartTable(m), {}
-        table.extend(values)
+        table.extend(ExplicitMold(values).scaled_components(0, len(values), m))
         golden_parts = {m * x.b for x in values[:300] if x.b}
         # one floor each, and the Q[tau] one
         assert calls["_floor_int_tau"] == len(golden_parts) + 1
