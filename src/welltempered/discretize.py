@@ -13,7 +13,7 @@ TruncationCertificate per (mold, m) carries the spacing proof and the
 split prefix that fix every image set, and d.certificate and
 interval.certificate expose it.  Its walk to the horizon, which re-checks
 the steps past N exactly, and the index maps are computed only when
-something reads them.  The prefix is split from the mold's
+something reads them.  All of them read m * mu_i only as the mold's
 scaled_components, (offset, component) pairs that a golden fractal mold
 reads from its integer columns without building a number.  A sweep keeps
 no image set per interval: it logs the members each crossing moves, and
@@ -36,8 +36,6 @@ from .exactnum import (
     _part,
     _round,
     certified_sign,
-    exact_floor,
-    scale,
 )
 from .molds import Mold, SpacingCertificateError, _check_multiplicity, _Record
 
@@ -58,8 +56,8 @@ class TruncationCertificate(_Record):
     fracs[i] split m * mu_i for i <= N (fracs[i] is None at an integer) and
     fix every image set; the discretizations and sweep intervals of this
     (mold, m) all hold this one record.  horizon, walked on first read, is
-    the last index of a finite exact re-check of the step inequality
-    (chosen so consumers of index maps see the run reach conductor + 2m).
+    the last index of a finite exact re-check of the step inequality on the
+    pairs values reads (so consumers of index maps see it reach conductor + 2m).
     Two certificates are equal when their mold name, multiplicity, prefix
     end, conductor and witness agree; mold, floors and fracs do not count.
     """
@@ -70,16 +68,18 @@ class TruncationCertificate(_Record):
 
     @cached_property
     def horizon(self) -> int:
-        """Walk from the prefix end, checking each step exactly; no scaled value is kept."""
+        """Walk from the prefix end, splitting each pair that values reads; no split is kept.
+
+        A checked step raises the floor by at most 1, so no read goes past
+        the first index that could reach the target, nor past the horizon.
+        """
         mold, m = self.mold, self.multiplicity
-        current = scale(mold.element(self.prefix_end), m)
         target = self.conductor + 2 * m + 2
-        horizon = self.prefix_end
-        while exact_floor(current) < target:
-            following = scale(mold.element(horizon + 1), m)
-            _check_step(mold, horizon, current, following)
-            horizon += 1
-            current = following
+        horizon, current = self.prefix_end, (self.floors[-1], self.fracs[-1])
+        while current[0] < target:
+            for pair in mold.scaled_components(horizon + 1, horizon + 1 + target - current[0], m):
+                current = _check_step(mold, horizon, current, pair)
+                horizon += 1
         return horizon
 
     @property
@@ -157,11 +157,18 @@ def _scaled_from(mold: Mold, start: int, m: int):
         start, size = start + size, min(2 * size, _CHUNK)
 
 
-def _check_step(mold: Mold, i: int, current, following) -> None:
-    """Raise unless the scaled step from index i to i + 1 is below 1."""
-    if not following < current + 1:
+def _check_step(mold: Mold, i: int, current: tuple, pair: tuple) -> tuple:
+    """Check that the scaled step from index i is below 1, and split m * mu_(i+1) from its pair.
+
+    current splits m * mu_i, a None part being 0: the scaled step is below 1
+    exactly when the floor does not rise, or rises by 1 onto a smaller part.
+    """
+    floor, part, _ = _part(pair[1])
+    floor += pair[0]
+    if floor > current[0] + 1 or floor == current[0] + 1 and not (part or 0) < (current[1] or 0):
         raise SpacingCertificateError(
             f"mold {mold.name!r}: scaled step at index {i} is not below 1")
+    return floor, part
 
 
 class _PartTable:
@@ -195,19 +202,18 @@ class _PartTable:
 def _prefix_tables(mold: Mold, m: int) -> tuple:
     """(certificate, table): m * mu_i split for i <= prefix_end, as one _PartTable.
 
-    The step at prefix_end is checked first.  That one exact check, the
-    walk's first step with the walk's error, reads element prefix_end + 1
-    and no further.  A bad step further on is caught when the walk to the
-    horizon runs.  Only sweeps read the table's parts, so the certificate
-    keeps just its floors and fracs.
+    The walk's first step, at prefix_end, is checked here with its error, on
+    the pair of element prefix_end + 1 and no further; the walk to the
+    horizon catches a bad step further on.  Only sweeps read the table's
+    parts, so the certificate keeps just its floors and fracs.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     prefix_end, witness = mold.spacing_index(m)
-    _check_step(mold, prefix_end, scale(mold.element(prefix_end), m),
-                scale(mold.element(prefix_end + 1), m))
+    following, = mold.scaled_components(prefix_end + 1, prefix_end + 2, m)
     table = _PartTable(m)
     table.extend(mold.scaled_components(0, prefix_end + 1, m))
     floors, fracs = table.floors, table.fracs
+    _check_step(mold, prefix_end, (floors[-1], fracs[-1]), following)
     conductor = floors[-1] if fracs[-1] is None else floors[-1] + 1
     return TruncationCertificate(mold.name, m, prefix_end, conductor, witness,
                                  mold, tuple(floors), tuple(fracs)), table

@@ -774,8 +774,6 @@ def certified_sign(x: ExactValue, y: ExactValue) -> int:
         if type(y) is Fraction and type(x._a) is int and type(x._b) is int:
             q = y.denominator  # q*x - q*y in integers, for the _round hot path
             return _sign_a_b_tau(q * x._a - y.numerator, q * x._b)
-        if type(y) is GoldenNumber:  # x - y by coefficients, as a walk's step check needs
-            return _sign_a_b_tau(x._a - y._a, x._b - y._b)
         return (x - y).sign()
     if type(y) is GoldenNumber:
         return -certified_sign(y, x)

@@ -317,14 +317,10 @@ class FractalMold(Mold):
             if not self._is_golden:
                 a += [ca + wa * x for x in a[lo:hi]]
                 b += [0] * (hi - lo)
-            elif hi > lo + 1:
+            else:
                 xs, ys = a[lo:hi], b[lo:hi]
                 a += [ca + wa * x + wb * y for x, y in zip(xs, ys)]
                 b += [cb + wb * x + (wa - wb) * y for x, y in zip(xs, ys)]
-            else:  # one element, as a walk reads them
-                x, y = a[lo], b[lo]
-                a.append(ca + wa * x + wb * y)
-                b.append(cb + wb * x + (wa - wb) * y)
 
     def element(self, i: int):
         if i < 0:

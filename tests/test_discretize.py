@@ -20,6 +20,7 @@ from welltempered.exactnum import (
     PrecisionBudgetExceeded,
     _scaled_component,
     _split,
+    exact_ceil,
     exact_floor,
     exact_frac,
     exact_is_integer,
@@ -171,6 +172,79 @@ def test_sweep_and_discretize_check_the_first_certified_step():
         alpha_sweep(_ShortSpacingMold(), 12)
     with pytest.raises(SpacingCertificateError, match=message):
         discretize(_ShortSpacingMold(), 12, Fraction(1, 2))
+
+
+class _UndershootingMold(Mold):
+    """mold with a spacing index short below its own; from index lifted on, each element + lift."""
+
+    def __init__(self, mold, short, lifted=None, lift=0):
+        self.name, self._mold, self._short = f"short {mold.name}", mold, short
+        self._lifted, self._lift = lifted, lift
+
+    def element(self, i):
+        mu = self._mold.element(i)
+        return mu + self._lift if self._lifted is not None and i >= self._lifted else mu
+
+    def spacing_index(self, m):
+        n, witness = self._mold.spacing_index(m)
+        return n - self._short, witness
+
+
+def _walk_against_the_exact_rule(mold, m):
+    """The first bad step index, or None, after checking the walk against exact values.
+
+    The reference scans not m*mu_(i+1) < m*mu_i + 1 on scaled exact values,
+    from the spacing index until a floor reaches the conductor + 2m + 2.
+    A sweep checks only the first step, so it must fail only there.
+    """
+    i = prefix_end = mold.spacing_index(m)[0]
+    current = scale(mold.element(i), m)
+    target = exact_ceil(current) + 2 * m + 2
+    while exact_floor(current) < target:
+        following = scale(mold.element(i + 1), m)
+        if not following < current + 1:
+            break
+        i, current = i + 1, following
+    else:
+        assert truncation_certificate(mold, m).horizon == i
+        alpha_sweep(mold, m)
+        return None
+    message = f"mold {mold.name!r}: scaled step at index {i} is not below 1"
+    with pytest.raises(SpacingCertificateError) as raised:
+        truncation_certificate(mold, m)
+    assert str(raised.value) == message
+    if i == prefix_end:
+        with pytest.raises(SpacingCertificateError) as raised:
+            alpha_sweep(mold, m)
+        assert str(raised.value) == message
+    else:
+        alpha_sweep(mold, m)
+    return i
+
+
+@pytest.mark.parametrize("mold, ms", [(L, (1, 4, 12)), (F, (2, 7, 12)), (Q, (4, 16)),
+                                      (mold_d(), (12,)), (perfect_fractal_mold(2), (4, 16))],
+                         ids=["L", "F", "Q", "D", "perfect2"])
+def test_split_step_rule_agrees_with_the_exact_rule(mold, ms):
+    for m in ms:
+        n = mold.spacing_index(m)[0]
+        for short in range(n + 1):
+            _walk_against_the_exact_rule(_UndershootingMold(mold, short), m)
+        # raising every element from j on breaks only the step at j - 1, past the first
+        lift = 1 if mold is L else Fraction(1, m)
+        for j in range(n + 2, n + 8):
+            shifted = _UndershootingMold(mold, 0, j, lift)
+            assert _walk_against_the_exact_rule(shifted, m) == j - 1
+
+
+def test_split_step_rule_rejects_steps_of_exactly_one_and_golden_undershoots():
+    # a step of exactly 1/m is a scaled step of 1: equal parts, or two integers
+    assert _walk_against_the_exact_rule(_UndershootingMold(Q, 3), 16) == 26
+    assert _walk_against_the_exact_rule(_UndershootingMold(perfect_fractal_mold(2), 1), 4) == 6
+    # F at m = 12 passes 31 short; 32 short fails its first step, 33 short the one after
+    assert _walk_against_the_exact_rule(_UndershootingMold(F, 31), 12) is None
+    assert _walk_against_the_exact_rule(_UndershootingMold(F, 32), 12) == 31
+    assert _walk_against_the_exact_rule(_UndershootingMold(F, 33), 12) == 31
 
 
 def test_discretization_membership_helpers():
@@ -382,16 +456,16 @@ def test_one_sweep_shares_one_certificate():
         assert len(set(lsweep) | set(fsweep)) == len(lsweep) + len(fsweep), m
 
 
-def _record_reads(mold) -> list:
-    """Record every index the mold's element() is asked for."""
+def _record_reads(mold, method: str = "element") -> list:
+    """Record the first argument of every call to the mold's element(), or another method."""
     read = []
-    element = mold.element
+    read_from = getattr(mold, method)
 
-    def recorded(i):
+    def recorded(i, *rest):
         read.append(i)
-        return element(i)
+        return read_from(i, *rest)
 
-    mold.element = recorded
+    setattr(mold, method, recorded)
     return read
 
 
@@ -402,7 +476,13 @@ def test_sweep_reads_only_the_certified_prefix(make, m):
     read = _record_reads(mold)
     sweep = alpha_sweep(mold, m)
     prefix_end = mold.spacing_index(m)[0]
-    assert max(read) == prefix_end + 1  # the prefix and the first certified step
+    if isinstance(mold, FractalMold):
+        # F's pairs come from its columns, which stop at the first certified step;
+        # the walk is then counted by the column reads it asks for
+        assert not read and [len(column) for column in mold._columns] == [prefix_end + 2] * 2
+        read = _record_reads(mold, "scaled_components")
+    else:
+        assert max(read) == prefix_end + 1  # the prefix and the first certified step
     cert = truncation_certificate(make(), m)
     first, last = sweep[0].representative, sweep[-1].representative
     assert first.horizon == cert.horizon
@@ -412,6 +492,22 @@ def test_sweep_reads_only_the_certified_prefix(make, m):
     splits = [(exact_floor(s), None if exact_is_integer(s) else exact_frac(s)) for s in scaled]
     for iv, rep in ((sweep[0], first), (sweep[-1], last)):
         assert list(rep.values) == _floor_rule(splits, iv.upper)
+
+
+@pytest.mark.parametrize("make, m", [(golden_fractal_mold, 200), (metric_mold, 400), (mold_q, 16),
+                                     (lambda: FractalMold(PeriodSpec([1, 1 + Fraction(3, 5)])), 12)],
+                         ids=["F200", "L400", "Q16", "rational-cut"])
+def test_horizon_walk_reads_no_pair_past_the_horizon(make, m):
+    # a checked step raises the floor by at most 1, so each read of the walk
+    # stops at the first index that could reach the target floor
+    mold = make()
+    cert = _prefix_tables(mold, m)[0]
+    read = _record_reads(mold)
+    horizon = cert.horizon
+    if isinstance(mold, FractalMold):
+        assert len(mold._columns[0]) == horizon + 1
+    # F's pairs come from its integer columns, not through element()
+    assert max(read, default=horizon) == horizon
 
 
 @pytest.mark.parametrize("mold, m", [(L, 12), (L, 18), (F, 12), (F, 34), (Q, 19)],
@@ -709,7 +805,7 @@ F200_LAST_VALUES = (16404, "68f375d412e6c09981c104b14c74cff69bf14b076ebbb88c196d
 def test_values_past_the_prefix_split_each_distinct_component_once(monkeypatch):
     exactnum = importlib.import_module("welltempered.exactnum")
     rep = alpha_sweep(F, 200)[-1].representative
-    horizon = rep.horizon  # the walk floors each element it checks; it is not counted here
+    horizon = rep.horizon  # the walk splits each element it checks; it is not counted here
     calls = Counter()
     monkeypatch.setattr(exactnum, "_floor_int_tau", lambda a, b, _fn=exactnum._floor_int_tau:
                         calls.update(["_floor_int_tau"]) or _fn(a, b))
@@ -722,12 +818,25 @@ def test_values_past_the_prefix_split_each_distinct_component_once(monkeypatch):
 def test_values_past_the_prefix_build_one_number_per_distinct_component(monkeypatch):
     mold = golden_fractal_mold()
     rep = alpha_sweep(mold, 200)[-1].representative
-    horizon = rep.horizon  # the walk builds the elements it checks; it is not counted here
+    horizon = rep.horizon  # the walk builds the parts it checks; they are not counted here
     components = {200 * x.b for x in mold.elements(horizon + 1)}
     built = _count_golden_builds(monkeypatch)
     values = rep.values
     assert len(built) <= len(components) + 2
     assert (len(values), hashlib.sha256(repr(values).encode()).hexdigest()) == F200_LAST_VALUES
+
+
+def test_horizon_walk_builds_no_element_and_about_one_number_per_index(monkeypatch):
+    # the walk splits the pairs values reads; checking each step on built
+    # elements made 36 926 numbers for 12 308 indices here
+    rep = alpha_sweep(golden_fractal_mold(), 200)[-1].representative
+    built = _count_golden_builds(monkeypatch)
+    molds = importlib.import_module("welltempered.molds")
+    elements = []
+    monkeypatch.setattr(molds, "_golden", lambda a, b, _fn=molds._golden:
+                        elements.append(1) or _fn(a, b))
+    walked = rep.horizon - rep.certificate.prefix_end
+    assert not elements and len(built) < 1.1 * walked
 
 
 def _period_start_reads(count: int, seed: int) -> list:

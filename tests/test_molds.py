@@ -120,8 +120,8 @@ def test_golden_sweep_builds_only_the_elements_it_reads(monkeypatch, m, most):
     # a sweep reads the first two elements of the period at F's spacing
     # index; building that whole period made 2055 and 8201 products.  The
     # columns hold coefficient pairs and fill only to the last index read,
-    # and the part table reads them as integers, so the only numbers built
-    # are the two elements of the checked step
+    # and the part table and the checked step read them as integers, so no
+    # element is built
     mul, golden = GoldenNumber.__mul__, molds._golden
     products = built = 0
 
@@ -140,7 +140,7 @@ def test_golden_sweep_builds_only_the_elements_it_reads(monkeypatch, m, most):
     mold = golden_fractal_mold()
     alpha_sweep(mold, m)
     assert products <= most
-    assert built == 2  # elements prefix_end and prefix_end + 1
+    assert built == 0
     prefix_end = mold.spacing_index(m)[0]
     assert [len(column) for column in mold._columns] == [prefix_end + 2] * 2
 
