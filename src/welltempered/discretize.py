@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, invert, is_not, itemgetter
 
 from .exactnum import (
@@ -109,9 +109,10 @@ class Discretization(_Record):
     (mold, m), holds the split prefix that fixes it.  values[i] =
     round(m * mu_i) for 0 <= i <= horizon; the horizon is computed on first
     read (of horizon, values or ==), and the rest of values is then rounded
-    from the mold.  iter_values() goes on past the prefix without a horizon,
-    reading the mold's scaled_components in chunks (_scaled_from), and
-    splitting and rounding each distinct component once.  The index map is
+    from the mold, reading no pair past the horizon.  iter_values() goes on
+    past the prefix without a horizon, reading the mold's scaled_components
+    in chunks (_scaled_from), and splitting and rounding each distinct
+    component once.  The index map is
     kept because collapse detection needs to know which mold indices landed
     on the same integer.
     Two discretizations are equal when their certificates, conductors,
@@ -127,34 +128,36 @@ class Discretization(_Record):
     def horizon(self) -> int:
         return self.certificate.horizon
 
-    def iter_values(self):
-        """round(m * mu_i) for i = 0, 1, 2, ... without end."""
+    def iter_values(self, stop: int | None = None):
+        """round(m * mu_i) for i = 0, 1, 2, ... without end, or past the prefix, below stop."""
         yield from self._head
         cert = self.certificate
         rounded = {}  # component -> its floor, rounded at alpha
-        for offset, component in _scaled_from(cert.mold, cert.prefix_end + 1, cert.multiplicity):
+        for offset, component in _scaled_from(cert.mold, cert.prefix_end + 1, cert.multiplicity,
+                                              stop):
             if component not in rounded:
                 rounded[component] = _round(*_part(component)[:2], self._alpha)
             yield offset + rounded[component]
 
     @cached_property
     def values(self) -> tuple:
-        return tuple(islice(self.iter_values(), self.horizon + 1))
+        return tuple(self.iter_values(self.horizon + 1))
 
     def __hash__(self):
         return hash((self._certificate, self._conductor, self._prefix))
 
 
-def _scaled_from(mold: Mold, start: int, m: int):
-    """mold.scaled_components from index start on, without end, in chunks of 16, 32, 64, ...
+def _scaled_from(mold: Mold, start: int, m: int, stop: int | None = None):
+    """mold.scaled_components from index start to stop, or without end, in chunks of 16, 32, ...
 
     The first chunk covers the ten or so indices a census bound adds; a
-    values walk reads thousands.
+    values walk reads thousands, and reads no index at or past stop.
     """
     size = 16
-    while True:
-        yield from mold.scaled_components(start, start + size, m)
-        start, size = start + size, min(2 * size, _CHUNK)
+    while stop is None or start < stop:
+        end = start + size if stop is None else min(start + size, stop)
+        yield from mold.scaled_components(start, end, m)
+        start, size = end, min(2 * size, _CHUNK)
 
 
 def _check_step(mold: Mold, i: int, current: tuple, pair: tuple) -> tuple:

@@ -7,13 +7,17 @@ images below a small bound, as the paper's deduction does: when no
 truncation of one mold's images equals one of the other's, m has no
 match.  Only the m that survive enumerate both full alpha sweeps, merge
 adjacent regions with equal images, pair the regions that agree, and
-re-verify every emitted match from scratch at an interior rational
-threshold.  An analytic certificate settles all multiplicities above a
-fixed bound, so feasibility is decided everywhere.
+re-verify each emitted match from scratch at an interior rational
+threshold.  The matches of one m form a cached stream, built one match
+at a time as readers ask: a search reads and re-verifies every match,
+while a census stops at the first certified witness of each m.  An
+analytic certificate settles all multiplicities above a fixed bound, so
+feasibility is decided everywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -189,15 +193,18 @@ def _exclusion(lmold: Mold, fmold: Mold, m: int) -> tuple[int, int, int, int] | 
     return None
 
 
-def _matches(lmold: Mold, fmold: Mold, m: int) -> tuple[SimultaneousMatch, ...]:
-    """The unpruned matcher: both full merged sweeps, paired by equal keys."""
+def _iter_matches(lmold: Mold, fmold: Mold, m: int) -> Iterator[SimultaneousMatch]:
+    """The unpruned matcher: both full merged sweeps, paired by equal keys.
+
+    Each match is re-checked just before it is yielded, so a reader that
+    stops early skips the re-checks of the matches it did not read.
+    """
     regions_l = _merged_regions(lmold, m)
     regions_f = _merged_regions(fmold, m)
     partners: dict[tuple, list[AlphaInterval]] = {}
     for region in regions_f:
         partners.setdefault(region.key, []).append(region)
     closed: dict[tuple, bool] = {}
-    matches = []
     for rl in regions_l:
         key = rl.key
         on_both_sides = partners.get(key)
@@ -212,31 +219,73 @@ def _matches(lmold: Mold, fmold: Mold, m: int) -> tuple[SimultaneousMatch, ...]:
         even_l = even_filterable_semigroup(rl.representative)
         for rf in on_both_sides:
             _midpoint_recheck(rf, key)
-            matches.append(SimultaneousMatch(
+            yield SimultaneousMatch(
                 m=m,
                 interval_L=rl,
                 interval_F=rf,
                 semigroup=semigroup,
                 even_filterable=(even_l, even_filterable_semigroup(rf.representative)),
-            ))
-    return tuple(matches)
+            )
+
+
+class _MatchStream:
+    """The matches of one m, each built from the source when first read and then kept.
+
+    Iterating yields the kept matches, then builds more only as the reader
+    asks.  Until the source is drained it holds its two merged sweeps.  A
+    source that raises clears _search, so a stream that failed is never
+    read back as a short list that looks complete.
+    """
+
+    __slots__ = ("_kept", "_source")
+
+    def __init__(self, source: Iterator[SimultaneousMatch] | None):
+        self._kept, self._source = [], source
+
+    def __iter__(self) -> Iterator[SimultaneousMatch]:
+        i = 0
+        while i < len(self._kept) or self._build():
+            yield self._kept[i]
+            i += 1
+
+    def _build(self) -> bool:
+        """Keep the source's next match; False once the source is drained."""
+        if self._source is None:
+            return False
+        try:
+            match = next(self._source, None)
+        except BaseException:
+            _search.cache_clear()  # the next read of this m recomputes
+            raise
+        if match is None:
+            self._source = None  # drop the merged sweeps
+            return False
+        self._kept.append(match)
+        return True
 
 
 # Bounded, but large enough for one census up to the CLI's bound (34), so
-# a second census in the same process reads every m from the cache.
+# a second census in the same process resumes every m from the cache.
 @lru_cache(maxsize=64)
-def _search(m: int) -> tuple[SimultaneousMatch, ...]:
-    """_matches for the m that survive _exclusion; no match for the rest."""
-    return () if _exclusion(*_SEARCH_MOLDS, m) else _matches(*_SEARCH_MOLDS, m)
+def _search(m: int) -> _MatchStream:
+    """The match stream of m: _iter_matches if m survives _exclusion, else empty.
+
+    A stream that a census left unfinished keeps its two merged sweeps
+    alive until a reader drains it or the cache, at most 64 streams,
+    evicts it.
+    """
+    excluded = _exclusion(*_SEARCH_MOLDS, m)
+    return _MatchStream(None if excluded else _iter_matches(*_SEARCH_MOLDS, m))
 
 
 def simultaneous_search(m: int) -> list[SimultaneousMatch]:
     """All verified ways both molds discretize to one semigroup at m.
 
     Matches are ordered by ascending metric-side region, then ascending
-    golden-side region.  Every match has been re-discretized at an
-    interior rational of each region and closure-verified.  An m that
-    _exclusion rules out comes back empty without a full sweep.
+    golden-side region.  The search reads every match of m's stream, and
+    each has been re-discretized at an interior rational of each region
+    and closure-verified.  An m that _exclusion rules out comes back empty
+    without a full sweep.
     """
     _check_multiplicity(m, "multiplicity must be a positive integer")
     return list(_search(m))
@@ -245,14 +294,22 @@ def simultaneous_search(m: int) -> list[SimultaneousMatch]:
 def multiplicity_census(m_max: int) -> set[int]:
     """The multiplicities up to m_max with at least one simultaneous match.
 
-    Up to 34, only 1..15 and 18 survive _exclusion to be swept in full.
+    The census stops at the first certified witness of each m: it reads
+    m's stream up to its first match, so the other matches are neither
+    built nor re-checked.  Up to 34, only 1..15 and 18 survive _exclusion
+    to be swept in full.
     """
     _check_multiplicity(m_max, "m_max must be a positive integer")
-    return {m for m in range(1, m_max + 1) if _search(m)}
+    return {m for m in range(1, m_max + 1) if next(iter(_search(m)), None) is not None}
 
 
 def even_filterable_census(m_max: int) -> set[int]:
-    """Multiplicities whose some match is even-filterable on both sides."""
+    """Multiplicities whose some match is even-filterable on both sides.
+
+    The census stops at the first certified witness of each m: it reads
+    m's stream up to the first match even-filterable on both sides,
+    resuming where an earlier census in the process stopped.
+    """
     _check_multiplicity(m_max, "m_max must be a positive integer")
     return {m for m in range(1, m_max + 1)
             if any(all(report.holds for report in match.even_filterable) for match in _search(m))}

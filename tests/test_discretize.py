@@ -823,6 +823,7 @@ def test_values_past_the_prefix_build_one_number_per_distinct_component(monkeypa
     built = _count_golden_builds(monkeypatch)
     values = rep.values
     assert len(built) <= len(components) + 2
+    assert len(mold._columns[0]) == horizon + 1  # values reads no pair past the horizon
     assert (len(values), hashlib.sha256(repr(values).encode()).hexdigest()) == F200_LAST_VALUES
 
 

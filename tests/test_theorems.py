@@ -1,6 +1,7 @@
 """Simultaneous-discretization search, censuses, tail certificate, uniqueness."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from welltempered.theorems import (
     simultaneous_search,
     tail_certificate,
 )
-from welltempered.theorems import _exclusion, _matches, _merged_regions
+from welltempered.theorems import _exclusion, _iter_matches, _merged_regions
 
 L = metric_mold()
 F = golden_fractal_mold()
@@ -218,7 +219,7 @@ def test_midpoint_recheck_catches_a_disagreeing_rediscretization(monkeypatch):
     with pytest.raises(RuntimeError, match="failed its interior re-check"):
         theorems._midpoint_recheck(region, region.key)
     with pytest.raises(RuntimeError, match="failed its interior re-check"):
-        _matches(L, F, 12)
+        tuple(_iter_matches(L, F, 12))
 
 
 def test_tail_certificate_rejects_search_territory():
@@ -279,12 +280,54 @@ def test_searches_agree_with_direct_discretization():
         assert tuple(dl.elements_below(ref.prefix[-1] + 1)) == ref.prefix
 
 
-def test_search_cache_is_bounded_above_the_cli_census():
+def _count_calls(monkeypatch, *names) -> Counter:
+    """Count the calls of each named function of theorems, which still runs."""
+    calls = Counter()
+    for name in names:
+        monkeypatch.setattr(theorems, name, lambda *args, _name=name, _fn=getattr(theorems, name):
+                            calls.update([_name]) or _fn(*args))
+    return calls
+
+
+def test_search_cache_is_bounded_above_the_cli_census(monkeypatch):
     assert SEARCH_BOUND <= theorems._search.cache_info().maxsize < 1000
+    theorems._search.cache_clear()
     multiplicity_census(SEARCH_BOUND)  # theorem --which 4, then --which 5
-    misses = theorems._search.cache_info().misses
+    calls = _count_calls(monkeypatch, "_exclusion", "alpha_sweep")
     even_filterable_census(SEARCH_BOUND)
-    assert theorems._search.cache_info().misses == misses
+    assert calls == Counter()  # the second census resumes the first one's streams
+
+
+def test_censuses_stop_at_the_first_certified_witness(monkeypatch):
+    theorems._search.cache_clear()
+    calls = _count_calls(monkeypatch, "_midpoint_recheck", "_exclusion")
+    assert multiplicity_census(SEARCH_BOUND) == FEASIBLE_MULTIPLICITIES
+    # one metric-side and one golden-side re-check for each of the 13 feasible m
+    assert calls == {"_midpoint_recheck": 26, "_exclusion": SEARCH_BOUND}
+    assert even_filterable_census(SEARCH_BOUND) == EVEN_FILTERABLE_MULTIPLICITIES
+    assert calls == {"_midpoint_recheck": 38, "_exclusion": SEARCH_BOUND}
+    for m in range(1, SEARCH_BOUND + 1):
+        simultaneous_search(m)  # reads and re-checks every match
+    assert calls == {"_midpoint_recheck": 82, "_exclusion": SEARCH_BOUND}
+
+
+def test_a_failed_stream_is_not_cached_as_a_short_list(monkeypatch):
+    theorems._search.cache_clear()
+    recheck = theorems._midpoint_recheck
+    calls = Counter()
+
+    def fail_second(region, key):
+        calls.update(["recheck"])
+        if calls["recheck"] == 2:
+            raise RuntimeError("injected re-check failure")
+        recheck(region, key)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(theorems, "_midpoint_recheck", fail_second)
+        with pytest.raises(RuntimeError, match="injected"):
+            simultaneous_search(2)
+    matches = simultaneous_search(2)
+    assert len(matches) == 5 and matches == list(_iter_matches(L, F, 2))
 
 
 # (molds, largest m) for the differential oracle of the pruned search
@@ -302,13 +345,13 @@ def _oracle_disagreements() -> list:
     for molds, m_max in ORACLE_PAIRS:
         pair = "/".join(mold.name for mold in molds)
         for m in range(1, m_max + 1):
-            unpruned = _matches(*molds, m)
+            unpruned = tuple(_iter_matches(*molds, m))
             if _exclusion(*molds, m) is not None:
                 keys_l = {region.key for region in _merged_regions(molds[0], m)}
                 if unpruned or any(region.key in keys_l
                                    for region in _merged_regions(molds[1], m)):
                     found.append((pair, m))
-            if molds == theorems._SEARCH_MOLDS and theorems._search(m) != unpruned:
+            if molds == theorems._SEARCH_MOLDS and tuple(theorems._search(m)) != unpruned:
                 found.append((pair, m))
     return found
 
