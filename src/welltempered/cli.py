@@ -14,9 +14,7 @@ the precision budget, or an --out file that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from fractions import Fraction
 
@@ -438,9 +436,13 @@ def main(argv=None) -> int:
     except PrecisionBudgetExceeded as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    # json and csv are imported only by the format that writes them: every
+    # command is a fresh interpreter, and most write text
     if args.format == "json":
+        import json
         output = json.dumps(result.json, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
+        import csv
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(result.csv)
         output = buffer.getvalue()

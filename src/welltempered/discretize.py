@@ -26,8 +26,8 @@ from bisect import bisect_left, insort
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import add, invert, is_not, itemgetter
+from itertools import groupby, repeat
+from operator import add, eq, invert, is_not, itemgetter
 
 from .exactnum import (
     ExactValue,
@@ -179,9 +179,9 @@ class _PartTable:
 
     floors[i] and fracs[i] split m * mu_i.  parts maps each component of
     the mold's scaled_components to [floor, part, key, floors...]: _part's
-    split of the component, made on the first miss, then the floors of the
-    indices that share it.  A golden or log part has one component; a value
-    split whole is its own.  extend() takes (offset, component) pairs, as
+    split of the component, made on the first miss, with key a plain
+    integer or None, then the floors of the indices that share it.  A
+    golden or log part has one component; a value split whole is its own.  extend() takes (offset, component) pairs, as
     mold.scaled_components(start, stop, m) returns them, and splits each
     past the first of its component by one lookup and one addition.
     """
@@ -271,14 +271,16 @@ class AlphaInterval(_Record):
     through(last) spans from this interval's lower end to last's upper end,
     with last's position, log and certificate.  representative, the full
     discretization at alpha = upper with its index map, is built on first
-    access from certificate, the one record of the sweep's (mold, m) that
-    its intervals and their representatives share.  The distinguished
-    pure-ceiling case is stored as the degenerate interval [0, 0].
-    Endpoints are exact: fractional parts of scaled mold elements, or the
-    outer rationals 0 and 1.  Two intervals are equal when their endpoints,
-    keys and certificates agree.
+    read, kept in a slot, from certificate, the one record of the sweep's
+    (mold, m) that its intervals and their representatives share.  An
+    interval has slots and no __dict__, as a sweep builds one per
+    breakpoint.  The distinguished pure-ceiling case is stored as the
+    degenerate interval [0, 0].  Endpoints are exact: fractional parts of
+    scaled mold elements, or the outer rationals 0 and 1.  Two intervals
+    are equal when their endpoints, keys and certificates agree.
     """
 
+    __slots__ = ("_lower", "_upper", "_at", "_certificate", "_log", "_representative")
     _fields = ("lower", "upper", "key", "certificate")
     _shown = ("lower", "upper", "key")
 
@@ -290,6 +292,7 @@ class AlphaInterval(_Record):
         self._at = at
         self._certificate = certificate
         self._log = log
+        self._representative = None
 
     @property
     def key(self) -> tuple:
@@ -298,9 +301,11 @@ class AlphaInterval(_Record):
     def through(self, last: AlphaInterval) -> AlphaInterval:
         return AlphaInterval(self.lower, last.upper, last._at, last.certificate, last._log)
 
-    @cached_property
+    @property
     def representative(self) -> Discretization:
-        return _discretize_at(self.certificate, self.upper)
+        if self._representative is None:
+            self._representative = _discretize_at(self._certificate, self._upper)
+        return self._representative
 
     @property
     def is_ceiling_point(self) -> bool:
@@ -320,21 +325,29 @@ def _crossings(table: _PartTable) -> tuple:
     its entry from ceiling to floor, which updates the counts; each member
     that leaves is logged as ~v, each that enters as v.  crossed lists the
     parts in order, and ends the log's length after each.  The entries are
-    sorted once on _split's sort keys, which order them exactly: integers
-    first, the parts themselves only where the integers tie.  Unless every
+    sorted once, stably, on _split's integer sort keys, and only the runs
+    of equal integers are then ordered by their exact parts.  Unless every
     part has a key and all are of one family, they are sorted by value.
-    Equal parts, such as two rationals an integer apart, cross together.
+    Equal parts, such as two rationals an integer apart, keep their order
+    in the table and cross together.
     """
-    # each index's ceiling, counted in C; a plain dict updates faster than a Counter
-    hits = dict(Counter(map(add, table.floors, map(is_not, table.fracs, repeat(None)))))
-    log = _MoveLog(sorted(hits))
+    # each index's ceiling, counted in C, then listed by integer up to the largest
+    counts = Counter(map(add, table.floors, map(is_not, table.fracs, repeat(None))))
+    hits = [0] * (max(counts) + 1)
+    for v, count in counts.items():
+        hits[v] = count
+    log = _MoveLog(sorted(counts))
     entries = [entry for entry in table.parts.values() if entry[1] is not None]
     by_value = (None in map(itemgetter(2), entries)
                 or len({type(entry[1]) for entry in entries}) > 1)
-    order = itemgetter(1 if by_value else 2)
-    entries.sort(key=order)
+    entries.sort(key=itemgetter(1 if by_value else 2))
+    keys = list(map(itemgetter(2), entries))
+    tied = by_value or any(map(eq, keys, keys[1:]))  # only then can two parts be equal
+    if tied and not by_value:  # equal integers: equal parts, or a collision the parts decide
+        entries = [entry for _, run in groupby(entries, itemgetter(2))
+                   for entry in sorted(run, key=itemgetter(1))]
     crossed, ends, last = [], [], None
-    move, count_of = log.moves.append, hits.get
+    move, moves = log.moves.append, log.moves
     for entry in entries:
         for fl in entry[3:]:
             up = fl + 1
@@ -342,16 +355,17 @@ def _crossings(table: _PartTable) -> tuple:
             hits[up] = left
             if not left:
                 move(~up)
-            held = count_of(fl, 0)
+            held = hits[fl]
             if not held:
                 move(fl)
             hits[fl] = held + 1
-        key = order(entry)
-        if key != last:
-            crossed.append(entry[1])
-            ends.append(None)
-        ends[-1] = len(log.moves)
-        last = key
+        part = entry[1]
+        if tied and crossed and part == last:
+            ends[-1] = len(moves)
+        else:
+            crossed.append(part)
+            ends.append(len(moves))
+        last = part
     return log, crossed, ends
 
 
@@ -408,8 +422,8 @@ def alpha_sweep(mold: Mold, m: int) -> list:
 
     One _PartTable pass over the mold's scaled components of the prefix,
     then one pass of _crossings over its sorted entries, starting from pure
-    ceiling, on the integer-first sort keys that _part builds while it
-    floors each distinct part.  Each interval holds its position in the
+    ceiling, on the integer sort keys that _part builds while it floors
+    each distinct part.  Each interval holds its position in the
     sweep's log of member moves; its key is replayed from the log when
     first read, and index maps are built only when a representative is
     read.  Returned sorted by lower endpoint, pure-ceiling interval first.

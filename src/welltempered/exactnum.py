@@ -23,8 +23,9 @@ raises TypeError in either order.
 
 ``_split``, the discretizations' split kernel, floors a value once and
 returns (floor, fractional part, sort key).  A golden or log part's key is
-(integer, part), the integer monotone in the part and a by-product of the
-floor, so sweeps order their breakpoints mostly by integer comparisons.
+an integer, monotone in the part and a by-product of the floor, so sweeps
+order their breakpoints by integer comparisons and compare exact parts
+only where two integers tie.
 ``_scaled_component`` writes m * x as an integer plus a component, m*b of
 a golden a + b*tau or (m*mult, arg) of a log, which fixes the fractional
 part.  Its one caller is ``Mold.scaled_components``; a golden fractal mold
@@ -606,10 +607,10 @@ def _split(x: ExactValue) -> tuple:
     The part and the key are None at an integer, and the key is None for a
     part without one.  A golden a + b*tau with int coefficients is a plus
     _part(b).  A log m*log2(n) + c whose power p = n**m _power builds is
-    floored as bit_length(p) - 1 + c, and p's leading K + 1 bits, K =
-    _KEY_BITS, are floor(2^(K + part)).  The key is (that integer, part):
-    the integer is monotone in the part, and equal integers fall back to the
-    exact parts.
+    floored as bit_length(p) - 1 + c, and its key is p's leading K + 1
+    bits, K = _KEY_BITS, which are floor(2^(K + part)).  A key is a plain
+    integer, nondecreasing in the part: equal parts have equal keys, and
+    where two keys tie the parts themselves decide.
     """
     if type(x) is GoldenNumber and type(x._a) is int and type(x._b) is int:
         floor, frac, key = _part(x._b)
@@ -619,7 +620,7 @@ def _split(x: ExactValue) -> tuple:
         floor = bits - 1 + x._c
         frac = _log(x._m, x._n, x._c - floor, power)
         cut = bits - 1 - _KEY_BITS
-        return floor, frac, (power >> cut if cut >= 0 else power << -cut, frac)
+        return floor, frac, power >> cut if cut >= 0 else power << -cut
     floor = exact_floor(x)
     if exact_is_integer(x):
         return floor, None, None
@@ -646,7 +647,8 @@ def _part(component) -> list:
     """_split's [floor, fractional part, sort key] of a component of _scaled_component.
 
     An int c is split by one _floor_int_tau: t = floor(2^K * c*tau), K =
-    _KEY_BITS, gives the floor t >> K, and t's low K bits floor(2^K * part).
+    _KEY_BITS, gives the floor t >> K, and t's low K bits are the key,
+    the integer floor(2^K * part).
     """
     if type(component) is not int:
         return list(_split(_log(*component, 0) if type(component) is tuple else component))
@@ -654,7 +656,7 @@ def _part(component) -> list:
         return [0, None, None]
     t = _floor_int_tau(0, component << _KEY_BITS)
     frac = _golden(-(t >> _KEY_BITS), component)
-    return [t >> _KEY_BITS, frac, (t & ((1 << _KEY_BITS) - 1), frac)]
+    return [t >> _KEY_BITS, frac, t & ((1 << _KEY_BITS) - 1)]
 
 
 def _round(floor: int, frac, alpha) -> int:

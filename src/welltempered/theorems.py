@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from operator import attrgetter
 
@@ -52,13 +52,24 @@ class SimultaneousMatch(_Record):
     """One semigroup realized by both molds at m, in regions interval_L and interval_F.
 
     even_filterable is each side's PropertyReport, read at its region's
-    upper end only.  The collapse can move inside a region (at m = 3 the
-    golden side has a region holding collapses 8 and 9), but up to m = 34
-    the verdict is the same on every sweep interval of every region, as
-    test_even_filterability_is_constant_on_each_region checks.
+    upper end only, and built on first read: the metric side's report is
+    kept in _metric_report, a list shared by every match of one metric
+    region, so that region's partners build it once between them.  The
+    collapse can move inside a region (at m = 3 the golden side has a
+    region holding collapses 8 and 9), but up to m = 34 the verdict is the
+    same on every sweep interval of every region, as
+    test_even_filterability_is_constant_on_each_region checks.  Equality,
+    hashing and repr read even_filterable, as they read the other fields.
     """
 
-    _fields = ("m", "interval_L", "interval_F", "semigroup", "even_filterable")
+    _fields = ("m", "interval_L", "interval_F", "semigroup", "_metric_report")
+    _compared = ("m", "interval_L", "interval_F", "semigroup", "even_filterable")
+
+    @cached_property
+    def even_filterable(self) -> tuple:
+        if not self._metric_report:
+            self._metric_report.append(even_filterable_semigroup(self.interval_L.representative))
+        return self._metric_report[0], even_filterable_semigroup(self.interval_F.representative)
 
 
 class TailCertificate(_Record):
@@ -197,7 +208,9 @@ def _iter_matches(lmold: Mold, fmold: Mold, m: int) -> Iterator[SimultaneousMatc
     """The unpruned matcher: both full merged sweeps, paired by equal keys.
 
     Each match is re-checked just before it is yielded, so a reader that
-    stops early skips the re-checks of the matches it did not read.
+    stops early skips the re-checks of the matches it did not read.  Its
+    even-filterability reports are built only when read: the partners of
+    one metric region share one list for that region's report.
     """
     regions_l = _merged_regions(lmold, m)
     regions_f = _merged_regions(fmold, m)
@@ -216,16 +229,10 @@ def _iter_matches(lmold: Mold, fmold: Mold, m: int) -> Iterator[SimultaneousMatc
         if not closed[key]:
             continue
         _midpoint_recheck(rl, key)
-        even_l = even_filterable_semigroup(rl.representative)
+        metric_report = []
         for rf in on_both_sides:
             _midpoint_recheck(rf, key)
-            yield SimultaneousMatch(
-                m=m,
-                interval_L=rl,
-                interval_F=rf,
-                semigroup=semigroup,
-                even_filterable=(even_l, even_filterable_semigroup(rf.representative)),
-            )
+            yield SimultaneousMatch(m, rl, rf, semigroup, metric_report)
 
 
 class _MatchStream:

@@ -30,6 +30,7 @@ from welltempered.exactnum import (
 )
 from welltempered.discretize import (
     AlphaInterval,
+    _crossings,
     _PartTable,
     _prefix_tables,
     _truncated_images,
@@ -575,13 +576,32 @@ def test_sweep_builds_keys_and_representatives_on_demand():
     sweep, peak = _sweep_peak(100)
     assert len(sweep) == 513
     assert peak < 0.6  # 0.47 MiB on CPython 3.11; 0.72 with a key tuple per change
-    assert all("representative" not in vars(iv) for iv in sweep)
+    assert all(iv._representative is None for iv in sweep)
     # a crossing that leaves the set unchanged hands on the same key tuple
     assert all((a.key == b.key) == (a.key is b.key) for a, b in zip(sweep[1:], sweep[2:]))
     rep = sweep[-1].representative
     assert rep is sweep[-1].representative
     assert "values" not in vars(rep)
     assert (rep.prefix, rep.conductor) == sweep[-1].key
+
+
+def test_sweep_intervals_have_slots_and_build_each_representative_once(monkeypatch):
+    module = importlib.import_module("welltempered.discretize")
+    built = []
+    discretize_at = module._discretize_at
+    monkeypatch.setattr(module, "_discretize_at",
+                        lambda *args: built.append(1) or discretize_at(*args))
+    sweep = alpha_sweep(F, 34)
+    merged = sweep[1].through(sweep[3])
+    for iv in (*sweep, merged):
+        assert not hasattr(iv, "__dict__")
+        with pytest.raises(AttributeError):
+            iv.extra = 1
+    assert not built
+    rep = merged.representative
+    assert merged.representative is rep and len(built) == 1
+    assert (rep.prefix, rep.conductor) == sweep[3].key and rep == sweep[3].representative
+    assert len(built) == 2
 
 
 def test_sweep_memory_grows_with_the_prefix_not_the_keys():
@@ -664,11 +684,23 @@ def test_discretize_rounds_each_distinct_part_once(monkeypatch):
 
 
 def _breakpoints(mold, m):
-    # the sort key of each index, as its part's table entry holds it
+    # the sort key of each index, as its own part's table entry holds it
     cert, table = _prefix_tables(mold, m)
-    key_of = {entry[1]: entry[2] for entry in table.parts.values()}
-    keys = [None if frac is None else key_of[frac] for frac in cert.fracs]
+    key_of = {id(entry[1]): entry[2] for entry in table.parts.values()}
+    keys = [None if frac is None else key_of[id(frac)] for frac in cert.fracs]
     return cert.fracs, keys, [i for i, frac in enumerate(cert.fracs) if frac is not None]
+
+
+def _crossing_order(mold, m):
+    """The indices with a part, in the order the sweep's _crossings crosses them."""
+    cert, table = _prefix_tables(mold, m)
+    indices = {}
+    for i, frac in enumerate(cert.fracs):
+        if frac is not None:
+            indices.setdefault(frac, []).append(i)
+    crossed = _crossings(table)[1]
+    assert len(crossed) == len(indices)  # equal parts cross together
+    return [i for frac in crossed for i in indices[frac]]
 
 
 def _rows(sweep):
@@ -681,11 +713,13 @@ def test_breakpoint_keys_order_exactly(mold, ms):
     duplicated = 0
     for m in ms:
         fracs, keys, live = _breakpoints(mold, m)
-        assert all(keys[i][1] is fracs[i] for i in live)
+        assert all(type(keys[i]) is int for i in live)
         # same order as the exact sort, equal parts in index order
-        assert sorted(live, key=keys.__getitem__) == sorted(live, key=fracs.__getitem__), m
+        exact = sorted(live, key=fracs.__getitem__)
+        assert sorted(live, key=keys.__getitem__) == exact, m
+        assert _crossing_order(mold, m) == exact, m
         distinct = set(fracs[i] for i in live)
-        assert len({keys[i][0] for i in live}) == len(distinct), m  # no integer collides
+        assert len({keys[i] for i in live}) == len(distinct), m  # no integer collides
         duplicated += len(distinct) < len(live)
         if m <= 24:
             for i in live:
@@ -699,7 +733,7 @@ def test_equal_log_parts_share_one_key():
     for m in (12, 60, 400):
         fracs, keys, _ = _breakpoints(L, m)
         assert fracs[5] == fracs[2] and keys[5] == keys[2]
-        assert keys[5][1] is keys[2][1]  # one split, shared
+        assert fracs[5] is fracs[2]  # one split, shared
 
 
 def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
@@ -713,8 +747,8 @@ def test_colliding_keys_fall_back_to_the_exact_parts(monkeypatch):
     monkeypatch.setattr(exactnum, "_KEY_BITS", 2)
     for mold, m in cases[:-1]:
         fracs, keys, live = _breakpoints(mold, m)
-        assert len({keys[i][0] for i in live}) <= 4 < len(set(fracs[i] for i in live))
-        assert sorted(live, key=keys.__getitem__) == sorted(live, key=fracs.__getitem__), m
+        assert len({keys[i] for i in live}) <= 4 < len(set(fracs[i] for i in live))
+        assert _crossing_order(mold, m) == sorted(live, key=fracs.__getitem__), m
     for mold, m in cases:
         assert _rows(alpha_sweep(mold, m)) == rows[mold.name, m], (mold.name, m)
         images_now = _truncated_images(mold, m, 3 * m, _PartTable(m))

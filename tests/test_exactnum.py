@@ -340,12 +340,12 @@ def test_split_floors_once_and_keys_by_integers(monkeypatch):
         floor, frac, key = _split(x)
         is_golden = type(x) is GoldenNumber
         assert calls["_floor_int_tau"] == is_golden  # one _floor_int_tau, or none
-        assert (floor, frac) == (exact_floor(x), exact_frac(x)) and key[1] is frac
+        assert (floor, frac) == (exact_floor(x), exact_frac(x)) and type(key) is int
         if is_golden:  # floor(2^64 * frac)
-            assert key[0] == exact_floor(frac * 2 ** 64)
+            assert key == exact_floor(frac * 2 ** 64)
         else:  # floor(2^(64 + frac)): the power's 65 leading bits
-            assert certified_sign(LogValue(1, key[0]), frac + 64) <= 0
-            assert certified_sign(frac + 64, LogValue(1, key[0] + 1)) < 0
+            assert certified_sign(LogValue(1, key), frac + 64) <= 0
+            assert certified_sign(frac + 64, LogValue(1, key + 1)) < 0
     for family in golden, logs:
         parts = [_split(x)[1:] for x in family]
         assert [f for f, _ in sorted(parts, key=lambda s: s[1])] == sorted(f for f, _ in parts)

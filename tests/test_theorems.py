@@ -38,7 +38,7 @@ MATCH_COUNTS = {1: 4, 2: 5, 3: 3, 4: 5, 5: 4, 6: 4, 7: 5, 8: 2, 9: 2,
 
 def test_merged_regions_read_keys_only():
     regions = _merged_regions(F, 34)
-    assert all("representative" not in vars(region) for region in regions)
+    assert all(region._representative is None for region in regions)
     keys = [region.key for region in regions[1:]]
     assert all(a != b for a, b in zip(keys, keys[1:]))  # neighbours were fused
     assert regions[-1].upper == 1
@@ -309,6 +309,23 @@ def test_censuses_stop_at_the_first_certified_witness(monkeypatch):
     for m in range(1, SEARCH_BOUND + 1):
         simultaneous_search(m)  # reads and re-checks every match
     assert calls == {"_midpoint_recheck": 82, "_exclusion": SEARCH_BOUND}
+
+
+def test_census_builds_no_even_filterability_report(monkeypatch):
+    theorems._search.cache_clear()
+    calls = _count_calls(monkeypatch, "_midpoint_recheck", "even_filterable_semigroup")
+    multiplicity_census(SEARCH_BOUND)
+    assert calls == {"_midpoint_recheck": 26}
+    even_filterable_census(SEARCH_BOUND)  # reads both reports of each match it reaches
+    assert calls == {"_midpoint_recheck": 38, "even_filterable_semigroup": 38}
+    matches = [match for m in range(1, SEARCH_BOUND + 1) for match in simultaneous_search(m)]
+    assert calls == {"_midpoint_recheck": 82, "even_filterable_semigroup": 38}
+    for match in matches:
+        assert match.even_filterable is match.even_filterable
+    # one golden-side report per match (44), and one metric-side report per
+    # metric region (38), shared by that region's partners
+    assert len(matches) == 44
+    assert calls == {"_midpoint_recheck": 82, "even_filterable_semigroup": 82}
 
 
 def test_a_failed_stream_is_not_cached_as_a_short_list(monkeypatch):
